@@ -33,16 +33,19 @@
 //            the comparison microbench must share at least one cover view
 //            and match the per-cell path bit-for-bit.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_workloads.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "engine/executor.h"
 #include "storage/simulated_disk.h"
 #include "workload/workforce.h"
@@ -381,6 +384,13 @@ int Run(int argc, char** argv) {
   // JSON report.
   std::string json = "{\n  \"bench\": \"fig11_perspectives\",\n";
   json += "  \"smoke\": " + std::string(smoke ? "true" : "false") + ",\n";
+  json += "  \"hardware_cores\": " +
+          std::to_string(ThreadPool::HardwareCores()) + ",\n";
+  json += "  \"hardware_concurrency\": " +
+          std::to_string(std::max(1u, std::thread::hardware_concurrency())) +
+          ",\n";
+  json += "  \"affinity_cores\": " +
+          std::to_string(ThreadPool::AffinityVisibleCores()) + ",\n";
   json += "  \"num_months\": " + std::to_string(kNumMonths) + ",\n";
   json += "  \"max_perspectives\": " + std::to_string(kMaxPerspectives) +
           ",\n  \"series\": [\n";

@@ -1,21 +1,29 @@
-// Out-of-core pipeline benchmark: synchronous FetchChunk streaming vs the
-// ChunkPipeline (async prefetch, coalesced ranged reads, bounded pin table)
-// on a Fig. 12-style workload — a product cube whose merge schedule
-// alternates between two far-apart chunk regions, so every synchronous
-// fetch pays a long seek while the pipeline's lookahead window coalesces
-// each region's chunks into ranged reads (one seek per run).
+// Out-of-core read benchmark: a per-chunk FetchChunk loop against the
+// synchronous coalescing walk (SimulatedDisk::ReadSchedule) on a Fig. 12-
+// style workload — a product cube whose merge schedule alternates between
+// two far-apart chunk regions, so every per-chunk fetch pays a long seek
+// while the walk's 16-entry window merges each region's chunks into
+// ranged reads (one seek per run). A second block times the out-of-core
+// roll-up (ChunkAggregator::ComputeOutOfCore) against a per-chunk
+// reference that does the same traversal, partition plan, accumulation and
+// merge but reads each visited chunk with FetchChunk, so the two differ
+// only in their read path.
 //
-// Reported time is CPU wall time plus the SimulatedDisk's virtual I/O
-// seconds, matching the other benches. Emits BENCH_outofcore.json.
+// Reported time is wall time plus the SimulatedDisk's virtual I/O
+// seconds, matching the other benches; wall time is the minimum over
+// kReps alternating runs of each mode and is also gated on its own.
+// Emits BENCH_outofcore.json.
 //
 // Usage: bench_outofcore [--smoke] [--check] [--out PATH]
-//   --smoke  smaller cube / fewer sweep points (CI).
-//   --check  exit non-zero unless: every mode is bit-identical to the
-//            synchronous oracle, peak pinned chunks never exceed the pin
-//            budget, the stall + compute ≈ wall accounting identity holds,
-//            and the headline config (lookahead 16, 4 io_threads) beats the
-//            synchronous loop by >= 1.5x in total (CPU + virtual) time.
+//   --smoke  smaller cube (CI).
+//   --check  exit non-zero unless: the walk delivers the interleave
+//            bit-identically to the per-chunk loop, the walked roll-up
+//            equals the per-chunk and the in-memory roll-ups, the walk
+//            beats the per-chunk loop by >= 1.5x in total (wall + virtual)
+//            time on the interleave, and the walk's wall time is at most
+//            1.5x the per-chunk loop's on the interleave and the roll-up.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -31,7 +39,6 @@
 #include "agg/group_by.h"
 #include "common/thread_pool.h"
 #include "cube/cube.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/cube_io.h"
 #include "storage/env.h"
 #include "storage/simulated_disk.h"
@@ -42,13 +49,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Alternating repetitions of each mode; wall time is their minimum.
+constexpr int kReps = 9;
+
 double MsSince(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-// Order-dependent FNV-style digest of a delivered chunk stream. The
-// pipeline delivers in schedule order, so equal digests mean the bytes AND
-// the order matched the synchronous oracle.
+// Order-dependent FNV-style digest of a delivered chunk stream: equal
+// digests mean the bytes AND the order matched.
 uint64_t FoldChunk(uint64_t h, ChunkId id, const Chunk& chunk) {
   h = (h ^ static_cast<uint64_t>(id)) * 1099511628211ull;
   for (int64_t i = 0; i < chunk.size(); ++i) {
@@ -75,157 +84,186 @@ std::vector<ChunkId> InterleavedSchedule(const std::vector<ChunkId>& stored) {
   return schedule;
 }
 
-struct SyncResult {
-  double wall_ms = 0.0;
+// ChunkAggregator's traversal for the identity dimension order (dim 0
+// fastest), restricted to the chunks the backing file stores.
+std::vector<ChunkId> RollupVisitOrder(const ChunkLayout& layout,
+                                      const CubeChunkIndex& index) {
+  const std::vector<int>& grid = layout.chunks_per_dim();
+  std::vector<int> coords(grid.size(), 0);
+  std::vector<ChunkId> visit;
+  while (true) {
+    const ChunkId id = layout.ChunkIdAt(coords);
+    if (index.entries.count(id) > 0) visit.push_back(id);
+    size_t d = 0;
+    while (d < grid.size() && ++coords[d] == grid[d]) coords[d++] = 0;
+    if (d == grid.size()) break;
+  }
+  return visit;
+}
+
+struct Run {
+  double wall_ms = 0.0;  // Minimum over samples.
   double virtual_ms = 0.0;
+  IoStats io;
   uint64_t digest = 0;
-  int64_t physical_reads = 0;
-  int64_t seek_chunks = 0;
+  int samples = 0;
   bool ok = true;
   double total_ms() const { return wall_ms + virtual_ms; }
+
+  // One repetition of `body` (which streams through `disk`) from a cold
+  // disk; keeps the fastest wall time and the (deterministic) charges.
+  template <typename Body>
+  void Sample(SimulatedDisk* disk, Body body) {
+    if (!ok) return;
+    disk->Reset();
+    const Clock::time_point t0 = Clock::now();
+    ok = body(&digest);
+    const double wall = MsSince(t0);
+    wall_ms = samples++ == 0 ? wall : std::min(wall_ms, wall);
+    io = disk->stats();
+    virtual_ms = io.virtual_seconds * 1e3;
+  }
 };
 
-SyncResult RunSync(SimulatedDisk* disk, const std::vector<ChunkId>& schedule) {
-  SyncResult r;
-  disk->Reset();
-  const Clock::time_point t0 = Clock::now();
+bool PerChunkStream(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                    uint64_t* digest) {
   uint64_t h = 14695981039346656037ull;
   for (ChunkId id : schedule) {
     Result<Chunk> chunk = disk->FetchChunk(id);
     if (!chunk.ok()) {
-      fprintf(stderr, "sync fetch of chunk %" PRIu64 " failed: %s\n",
+      fprintf(stderr, "fetch of chunk %" PRIu64 " failed: %s\n",
               static_cast<uint64_t>(id), chunk.status().ToString().c_str());
-      r.ok = false;
-      return r;
+      return false;
     }
     h = FoldChunk(h, id, *chunk);
   }
-  r.wall_ms = MsSince(t0);
-  const IoStats stats = disk->stats();
-  r.virtual_ms = stats.virtual_seconds * 1e3;
-  r.physical_reads = stats.physical_reads;
-  r.seek_chunks = stats.total_seek_chunks;
-  r.digest = h;
-  return r;
+  *digest = h;
+  return true;
 }
 
-struct PipelinedResult {
-  int lookahead = 0;
-  int io_threads = 0;
-  int64_t cache_chunks = 0;
-  int64_t pin_budget = 0;  // Resolved.
-  double wall_ms = 0.0;
-  double next_ms = 0.0;  // Time inside Next() (stalls + handoff overhead).
-  double compute_ms = 0.0;
-  double stall_ms = 0.0;
-  double virtual_ms = 0.0;
-  uint64_t digest = 0;
-  ChunkPipelineStats stats;
-  bool ok = true;
-  bool bit_identical = false;
-  double total_ms() const { return wall_ms + virtual_ms; }
-  // stall + compute should reconstruct wall up to handoff overhead.
-  double accounting_gap_ms() const {
-    return stall_ms + compute_ms - wall_ms;
-  }
-};
-
-PipelinedResult RunPipelined(SimulatedDisk* disk,
-                             const std::vector<ChunkId>& schedule,
-                             const ChunkPipelineOptions& options) {
-  PipelinedResult r;
-  r.lookahead = options.lookahead;
-  r.io_threads = options.io_threads;
-  r.pin_budget = options.pin_budget;
-  disk->Reset();
-  const Clock::time_point t0 = Clock::now();
+bool WalkStream(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                uint64_t* digest) {
   uint64_t h = 14695981039346656037ull;
-  double next_ms = 0.0;
-  {
-    ChunkPipeline pipeline(disk, schedule, options);
-    r.pin_budget = pipeline.pin_budget();
-    while (true) {
-      const Clock::time_point n0 = Clock::now();
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      next_ms += MsSince(n0);
-      if (!pin.ok()) {
-        if (pin.status().code() != StatusCode::kOutOfRange) {
-          fprintf(stderr, "pipelined fetch failed: %s\n",
-                  pin.status().ToString().c_str());
-          r.ok = false;
-        }
-        break;
-      }
-      h = FoldChunk(h, pin->id(), pin->chunk());
-    }
-    r.stats = pipeline.stats();
+  const Status status =
+      disk->ReadSchedule(schedule, [&](ChunkId id, const Chunk& chunk) {
+        h = FoldChunk(h, id, chunk);
+      });
+  if (!status.ok()) {
+    fprintf(stderr, "schedule walk failed: %s\n", status.ToString().c_str());
+    return false;
   }
-  r.wall_ms = MsSince(t0);
-  r.next_ms = next_ms;
-  r.compute_ms = r.wall_ms - next_ms;
-  r.stall_ms = r.stats.stall_seconds * 1e3;
-  r.virtual_ms = disk->stats().virtual_seconds * 1e3;
-  r.digest = h;
-  return r;
+  *digest = h;
+  return true;
 }
 
-// ---- rollup workload: ChunkAggregator::ComputeOutOfCore ------------------
+// ---- roll-up workload ----------------------------------------------------
 
 struct RollupResult {
-  double sync_wall_ms = 0.0, sync_virtual_ms = 0.0;
-  double pipe_wall_ms = 0.0, pipe_virtual_ms = 0.0;
-  bool ok = true;
-  bool bit_identical = false;   // pipelined == sync streaming.
-  bool matches_memory = false;  // sync streaming == in-memory pass, value-wise.
-  double sync_total_ms() const { return sync_wall_ms + sync_virtual_ms; }
-  double pipe_total_ms() const { return pipe_wall_ms + pipe_virtual_ms; }
+  Run per_chunk;
+  Run walk;
+  bool bit_identical = false;   // walk == per-chunk loop, cells_scanned too.
+  bool matches_memory = false;  // walk == in-memory pass.
 };
 
-RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int io_threads) {
+RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk) {
   RollupResult r;
-  std::vector<GroupByMask> masks = {0b001, 0b010, 0b011, 0b110};
+  const std::vector<GroupByMask> masks = {0b001, 0b010, 0b011, 0b110};
   std::vector<int> order(cube.num_dims());
   std::iota(order.begin(), order.end(), 0);
+  const ChunkLayout& layout = cube.layout();
 
-  ChunkAggregator::OutOfCoreOptions sync_opts;
-  sync_opts.pipelined = false;
-  ChunkAggregator::OutOfCoreOptions pipe_opts;
-  pipe_opts.pipelined = true;
-  pipe_opts.pipeline.lookahead = 16;
-  pipe_opts.pipeline.io_threads = io_threads;
-
-  disk->Reset();
-  ChunkAggregator sync_agg(cube);
-  Clock::time_point t0 = Clock::now();
-  Result<std::vector<GroupByResult>> sync_views =
-      sync_agg.ComputeOutOfCore(masks, order, disk, sync_opts);
-  r.sync_wall_ms = MsSince(t0);
-  r.sync_virtual_ms = disk->stats().virtual_seconds * 1e3;
-
-  disk->Reset();
-  ChunkAggregator pipe_agg(cube);
-  t0 = Clock::now();
-  Result<std::vector<GroupByResult>> pipe_views =
-      pipe_agg.ComputeOutOfCore(masks, order, disk, pipe_opts);
-  r.pipe_wall_ms = MsSince(t0);
-  r.pipe_virtual_ms = disk->stats().virtual_seconds * 1e3;
-
-  if (!sync_views.ok() || !pipe_views.ok()) {
-    fprintf(stderr, "rollup failed: %s\n",
-            (!sync_views.ok() ? sync_views.status() : pipe_views.status())
-                .ToString()
-                .c_str());
-    r.ok = false;
-    return r;
+  // ComputeOutOfCore with its ReadSchedule call replaced by one FetchChunk
+  // per visit entry: the same traversal, RollupPartitionCount plan,
+  // per-chunk CountNonNull, per-partition accumulation and ascending merge.
+  std::vector<GroupByResult> per_chunk_views;
+  int64_t per_chunk_cells = 0;
+  auto per_chunk = [&](uint64_t*) {
+    const std::vector<ChunkId> visit =
+        RollupVisitOrder(layout, disk->backing_index());
+    const int64_t num_visited = static_cast<int64_t>(visit.size());
+    per_chunk_views.clear();
+    int64_t total_view_cells = 0;
+    for (GroupByMask mask : masks) {
+      per_chunk_views.push_back(MakeGroupByShell(cube, mask));
+      total_view_cells += per_chunk_views.back().num_cells();
+    }
+    const int64_t num_partitions = RollupPartitionCount(
+        num_visited, num_visited * layout.cells_per_chunk(),
+        layout.cells_per_chunk(), total_view_cells,
+        static_cast<int64_t>(masks.size()));
+    std::vector<std::vector<GroupByResult>> partials;
+    if (num_partitions > 1) {
+      partials.resize(num_partitions);
+      for (std::vector<GroupByResult>& partial : partials) {
+        for (GroupByMask mask : masks) {
+          partial.push_back(MakeGroupByShell(cube, mask));
+        }
+      }
+    }
+    per_chunk_cells = 0;
+    for (int64_t i = 0; i < num_visited; ++i) {
+      Result<Chunk> chunk = disk->FetchChunk(visit[i]);
+      if (!chunk.ok()) {
+        fprintf(stderr, "rollup fetch failed: %s\n",
+                chunk.status().ToString().c_str());
+        return false;
+      }
+      per_chunk_cells += chunk->CountNonNull();
+      AccumulateChunkIntoGroupBys(
+          layout, visit[i], *chunk,
+          num_partitions > 1 ? &partials[i * num_partitions / num_visited]
+                             : &per_chunk_views);
+    }
+    for (const std::vector<GroupByResult>& partial : partials) {
+      for (size_t m = 0; m < per_chunk_views.size(); ++m) {
+        per_chunk_views[m].MergeFrom(partial[m]);
+      }
+    }
+    return true;
+  };
+  std::vector<GroupByResult> walk_views;
+  int64_t walk_cells = 0;
+  auto walk = [&](uint64_t*) {
+    ChunkAggregator agg(cube);
+    Result<std::vector<GroupByResult>> views =
+        agg.ComputeOutOfCore(masks, order, disk);
+    if (!views.ok()) {
+      fprintf(stderr, "rollup walk failed: %s\n",
+              views.status().ToString().c_str());
+      return false;
+    }
+    walk_views = *std::move(views);
+    walk_cells = agg.stats().cells_scanned;
+    return true;
+  };
+  // Alternating repetitions: both modes see the same host load phases.
+  for (int rep = 0; rep < kReps; ++rep) {
+    r.per_chunk.Sample(disk, per_chunk);
+    r.walk.Sample(disk, walk);
   }
+
+  if (!r.per_chunk.ok || !r.walk.ok) return r;
   ChunkAggregator memory_agg(cube);
-  std::vector<GroupByResult> memory_views = memory_agg.Compute(masks, order);
-  r.bit_identical = *sync_views == *pipe_views;
-  r.matches_memory = *sync_views == memory_views;
+  const std::vector<GroupByResult> memory_views =
+      memory_agg.Compute(masks, order);
+  r.bit_identical =
+      walk_views == per_chunk_views && walk_cells == per_chunk_cells;
+  r.matches_memory = walk_views == memory_views;
   return r;
 }
 
 // ---- driver --------------------------------------------------------------
+
+void PrintRun(FILE* f, const char* name, const Run& r, const char* tail) {
+  fprintf(f,
+          "    \"%s\": {\"wall_ms\": %.3f, \"virtual_ms\": %.3f, "
+          "\"total_ms\": %.3f, \"physical_reads\": %lld, "
+          "\"coalesced_reads\": %lld, \"seek_chunks\": %lld}%s\n",
+          name, r.wall_ms, r.virtual_ms, r.total_ms(),
+          static_cast<long long>(r.io.physical_reads),
+          static_cast<long long>(r.io.coalesced_reads),
+          static_cast<long long>(r.io.total_seek_chunks), tail);
+}
 
 int Main(int argc, char** argv) {
   bool smoke = false, check = false;
@@ -238,7 +276,8 @@ int Main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
     } else {
-      fprintf(stderr, "usage: %s [--smoke] [--check] [--out PATH]\n", argv[0]);
+      fprintf(stderr, "usage: %s [--smoke] [--check] [--out PATH]\n",
+              argv[0]);
       return 2;
     }
   }
@@ -277,55 +316,32 @@ int Main(int argc, char** argv) {
   const std::vector<ChunkId> schedule = InterleavedSchedule(stored);
 
   fprintf(stderr,
-          "bench_outofcore: %lld stored chunks, schedule %zu, file %s\n",
+          "bench_outofcore: %lld stored chunks, schedule %zu, %d reps, "
+          "file %s\n",
           static_cast<long long>(cube.NumStoredChunks()), schedule.size(),
-          path.c_str());
+          kReps, path.c_str());
 
-  const SyncResult sync = RunSync(&disk, schedule);
+  Run per_chunk, walk;
+  for (int rep = 0; rep < kReps; ++rep) {
+    per_chunk.Sample(&disk, [&](uint64_t* digest) {
+      return PerChunkStream(&disk, schedule, digest);
+    });
+    walk.Sample(&disk, [&](uint64_t* digest) {
+      return WalkStream(&disk, schedule, digest);
+    });
+  }
+  const bool stream_identical =
+      per_chunk.ok && walk.ok && per_chunk.digest == walk.digest;
+  const double speedup_total =
+      walk.total_ms() > 0 ? per_chunk.total_ms() / walk.total_ms() : 0.0;
+  const double stream_wall_ratio =
+      per_chunk.wall_ms > 0 ? walk.wall_ms / per_chunk.wall_ms : 0.0;
 
-  std::vector<PipelinedResult> runs;
-  const std::vector<int> lookaheads =
-      smoke ? std::vector<int>{1, 16} : std::vector<int>{1, 4, 16, 64};
-  for (int lookahead : lookaheads) {
-    ChunkPipelineOptions options;
-    options.lookahead = lookahead;
-    options.io_threads = 4;
-    runs.push_back(RunPipelined(&disk, schedule, options));
-  }
-  const std::vector<int> io_thread_counts =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  for (int io_threads : io_thread_counts) {
-    if (io_threads == 4) continue;  // Covered by the lookahead sweep.
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = io_threads;
-    runs.push_back(RunPipelined(&disk, schedule, options));
-  }
-  {
-    // Tiny pin budget: back-pressure throttles the window but must still
-    // terminate and stay within budget.
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = 4;
-    options.pin_budget = 2;
-    runs.push_back(RunPipelined(&disk, schedule, options));
-  }
-  if (!smoke) {
-    // A warm cache in front of the cost model (both modes benefit).
-    SimulatedDisk cached_disk(model, /*cache_capacity_chunks=*/256);
-    Status s = cached_disk.AttachBackingFile(Env::Default(), path);
-    if (s.ok()) {
-      ChunkPipelineOptions options;
-      options.lookahead = 16;
-      options.io_threads = 4;
-      PipelinedResult warm = RunPipelined(&cached_disk, schedule, options);
-      warm.cache_chunks = 256;
-      runs.push_back(warm);
-    }
-  }
-  for (PipelinedResult& r : runs) r.bit_identical = r.ok && r.digest == sync.digest;
-
-  const RollupResult rollup = RunRollup(cube, &disk, /*io_threads=*/4);
+  const RollupResult rollup = RunRollup(cube, &disk);
+  const double rollup_wall_ratio =
+      rollup.per_chunk.wall_ms > 0
+          ? rollup.walk.wall_ms / rollup.per_chunk.wall_ms
+          : 0.0;
 
   std::remove(path.c_str());
 
@@ -345,116 +361,78 @@ int Main(int argc, char** argv) {
   fprintf(f, "  \"chunks\": %lld,\n",
           static_cast<long long>(cube.NumStoredChunks()));
   fprintf(f, "  \"schedule_len\": %zu,\n", schedule.size());
+  fprintf(f, "  \"window\": %d,\n", SimulatedDisk::kScheduleWindow);
+  fprintf(f, "  \"reps\": %d,\n", kReps);
   fprintf(f,
           "  \"disk\": {\"seek_seconds_per_chunk\": %g, "
           "\"max_seek_seconds\": %g, \"transfer_seconds\": %g},\n",
           model.seek_seconds_per_chunk, model.max_seek_seconds,
           model.transfer_seconds);
+  fprintf(f, "  \"fig12_interleave\": {\n");
+  PrintRun(f, "per_chunk", per_chunk, ",");
+  PrintRun(f, "walk", walk, ",");
   fprintf(f,
-          "  \"sync\": {\"wall_ms\": %.3f, \"virtual_ms\": %.3f, "
-          "\"total_ms\": %.3f, \"physical_reads\": %lld, "
-          "\"seek_chunks\": %lld},\n",
-          sync.wall_ms, sync.virtual_ms, sync.total_ms(),
-          static_cast<long long>(sync.physical_reads),
-          static_cast<long long>(sync.seek_chunks));
-  fprintf(f, "  \"pipelined\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const PipelinedResult& r = runs[i];
-    fprintf(f,
-            "    {\"lookahead\": %d, \"io_threads\": %d, \"cache_chunks\": "
-            "%lld, \"pin_budget\": %lld, \"peak_pinned\": %lld,\n"
-            "     \"wall_ms\": %.3f, \"compute_ms\": %.3f, \"stall_ms\": "
-            "%.3f, \"virtual_ms\": %.3f, \"total_ms\": %.3f,\n"
-            "     \"accounting_gap_ms\": %.3f, \"read_batches\": %lld, "
-            "\"coalesced_reads\": %lld, \"prefetch_issued\": %lld,\n"
-            "     \"ready_hits\": %lld, \"stall_waits\": %lld, "
-            "\"speedup_total\": %.2f, \"bit_identical\": %s}%s\n",
-            r.lookahead, r.io_threads, static_cast<long long>(r.cache_chunks),
-            static_cast<long long>(r.pin_budget),
-            static_cast<long long>(r.stats.peak_pinned), r.wall_ms,
-            r.compute_ms, r.stall_ms, r.virtual_ms, r.total_ms(),
-            r.accounting_gap_ms(), static_cast<long long>(r.stats.read_batches),
-            static_cast<long long>(r.stats.coalesced_reads),
-            static_cast<long long>(r.stats.prefetch_issued),
-            static_cast<long long>(r.stats.ready_hits),
-            static_cast<long long>(r.stats.stall_waits),
-            r.total_ms() > 0 ? sync.total_ms() / r.total_ms() : 0.0,
-            r.bit_identical ? "true" : "false",
-            i + 1 < runs.size() ? "," : "");
-  }
-  fprintf(f, "  ],\n");
+          "    \"speedup_total\": %.2f, \"wall_ratio\": %.2f, "
+          "\"bit_identical\": %s\n  },\n",
+          speedup_total, stream_wall_ratio,
+          stream_identical ? "true" : "false");
+  fprintf(f, "  \"rollup_outofcore\": {\n");
+  PrintRun(f, "per_chunk", rollup.per_chunk, ",");
+  PrintRun(f, "walk", rollup.walk, ",");
   fprintf(f,
-          "  \"rollup_outofcore\": {\"sync_wall_ms\": %.3f, "
-          "\"sync_virtual_ms\": %.3f, \"sync_total_ms\": %.3f,\n"
-          "    \"pipelined_wall_ms\": %.3f, \"pipelined_virtual_ms\": %.3f, "
-          "\"pipelined_total_ms\": %.3f,\n"
-          "    \"bit_identical\": %s, \"matches_memory\": %s}\n",
-          rollup.sync_wall_ms, rollup.sync_virtual_ms, rollup.sync_total_ms(),
-          rollup.pipe_wall_ms, rollup.pipe_virtual_ms, rollup.pipe_total_ms(),
-          rollup.bit_identical ? "true" : "false",
+          "    \"wall_ratio\": %.2f, \"bit_identical\": %s, "
+          "\"matches_memory\": %s\n  }\n",
+          rollup_wall_ratio, rollup.bit_identical ? "true" : "false",
           rollup.matches_memory ? "true" : "false");
   fprintf(f, "}\n");
   fclose(f);
-  fprintf(stderr, "wrote %s\n", out_path.c_str());
+  fprintf(stderr,
+          "interleave: per-chunk %.3f ms wall + %.3f ms virtual, walk %.3f ms "
+          "wall + %.3f ms virtual (%.2fx total, wall ratio %.2f)\n"
+          "rollup: per-chunk %.3f ms wall, walk %.3f ms wall (ratio %.2f)\n"
+          "wrote %s\n",
+          per_chunk.wall_ms, per_chunk.virtual_ms, walk.wall_ms,
+          walk.virtual_ms, speedup_total, stream_wall_ratio,
+          rollup.per_chunk.wall_ms, rollup.walk.wall_ms, rollup_wall_ratio,
+          out_path.c_str());
 
   // ---- gates -------------------------------------------------------------
   int failures = 0;
-  if (!sync.ok) ++failures;
-  if (!rollup.ok || !rollup.bit_identical || !rollup.matches_memory) {
-    fprintf(stderr, "FAIL rollup_outofcore: pipelined/sync/in-memory mismatch\n");
+  if (!stream_identical) {
+    fprintf(stderr, "FAIL interleave: walk differs from the per-chunk loop\n");
     ++failures;
   }
-  const PipelinedResult* headline = nullptr;
-  for (const PipelinedResult& r : runs) {
-    if (!r.ok || !r.bit_identical) {
-      fprintf(stderr,
-              "FAIL pipelined (lookahead %d, %d io_threads): stream differs "
-              "from synchronous oracle\n",
-              r.lookahead, r.io_threads);
-      ++failures;
-    }
-    if (r.stats.peak_pinned > r.pin_budget) {
-      fprintf(stderr,
-              "FAIL pipelined (lookahead %d, %d io_threads): peak pinned "
-              "%lld exceeds budget %lld\n",
-              r.lookahead, r.io_threads,
-              static_cast<long long>(r.stats.peak_pinned),
-              static_cast<long long>(r.pin_budget));
-      ++failures;
-    }
-    if (r.lookahead == 16 && r.io_threads == 4 && r.cache_chunks == 0 &&
-        headline == nullptr) {
-      headline = &r;
-    }
+  if (!rollup.per_chunk.ok || !rollup.walk.ok || !rollup.bit_identical ||
+      !rollup.matches_memory) {
+    fprintf(stderr,
+            "FAIL rollup_outofcore: walk/per-chunk/in-memory mismatch\n");
+    ++failures;
   }
   if (check) {
     constexpr double kSpeedupFloor = 1.5;
-    constexpr double kAccountingSlack = 0.10;  // Fraction of wall.
-    constexpr double kAccountingGraceMs = 5.0;
-    if (headline == nullptr) {
-      fprintf(stderr, "FAIL: headline config (lookahead 16, 4 io_threads) missing\n");
+    constexpr double kWallCeiling = 1.5;
+    if (speedup_total < kSpeedupFloor) {
+      fprintf(stderr,
+              "FAIL interleave: walk total %.3f ms vs per-chunk %.3f ms "
+              "(%.2fx < %.1fx floor)\n",
+              walk.total_ms(), per_chunk.total_ms(), speedup_total,
+              kSpeedupFloor);
       ++failures;
-    } else {
-      const double speedup =
-          headline->total_ms() > 0 ? sync.total_ms() / headline->total_ms() : 0.0;
-      if (speedup < kSpeedupFloor) {
-        fprintf(stderr,
-                "FAIL headline: pipelined total %.3f ms vs sync %.3f ms "
-                "(%.2fx < %.1fx floor)\n",
-                headline->total_ms(), sync.total_ms(), speedup, kSpeedupFloor);
-        ++failures;
-      }
-      const double gap = headline->accounting_gap_ms();
-      const double limit =
-          kAccountingSlack * headline->wall_ms + kAccountingGraceMs;
-      if (gap < -limit || gap > limit) {
-        fprintf(stderr,
-                "FAIL headline: stall %.3f + compute %.3f vs wall %.3f ms "
-                "(gap %.3f beyond %.3f)\n",
-                headline->stall_ms, headline->compute_ms, headline->wall_ms,
-                gap, limit);
-        ++failures;
-      }
+    }
+    if (stream_wall_ratio > kWallCeiling) {
+      fprintf(stderr,
+              "FAIL interleave: walk wall %.3f ms is %.2fx the per-chunk "
+              "loop's %.3f ms (> %.1fx)\n",
+              walk.wall_ms, stream_wall_ratio, per_chunk.wall_ms, kWallCeiling);
+      ++failures;
+    }
+    if (rollup_wall_ratio > kWallCeiling) {
+      fprintf(stderr,
+              "FAIL rollup_outofcore: walk wall %.3f ms is %.2fx the "
+              "per-chunk loop's %.3f ms (> %.1fx)\n",
+              rollup.walk.wall_ms, rollup_wall_ratio, rollup.per_chunk.wall_ms,
+              kWallCeiling);
+      ++failures;
     }
   }
   if (failures > 0) {

@@ -114,16 +114,15 @@ AggregateCache::AggregateCache(const Cube& cube,
 
 AggregateCache::AggregateCache(const Cube& cube,
                                const std::vector<GroupByMask>& masks,
-                               SimulatedDisk* disk,
-                               const ChunkAggregator::OutOfCoreOptions& options,
-                               int threads)
+                               SimulatedDisk* disk, int threads,
+                               const CancellationToken& cancel)
     : masks_(masks) {
   ChunkAggregator aggregator(cube);
   std::vector<int> order(cube.num_dims());
   std::iota(order.begin(), order.end(), 0);
   Result<std::vector<GroupByResult>> streamed =
       disk != nullptr
-          ? aggregator.ComputeOutOfCore(masks_, order, disk, options)
+          ? aggregator.ComputeOutOfCore(masks_, order, disk, cancel)
           : Result<std::vector<GroupByResult>>(
                 Status(StatusCode::kFailedPrecondition, "no disk"));
   if (streamed.ok()) {
@@ -135,7 +134,7 @@ AggregateCache::AggregateCache(const Cube& cube,
   } else {
     // The in-memory pass is always available and value-equivalent.
     views_ = aggregator.Compute(masks_, order, /*disk=*/nullptr, threads,
-                                options.cancel);
+                                cancel);
   }
   root_droppable_.resize(cube.num_dims());
   for (int d = 0; d < cube.num_dims(); ++d) {

@@ -67,16 +67,14 @@ class AggregateCache {
 
   // Out-of-core materialization: streams the chunk data from `disk`'s
   // backing file (which must store `cube`) through
-  // ChunkAggregator::ComputeOutOfCore — synchronous fetches or the async
-  // prefetch pipeline per `options`. Falls back to the in-memory pass when
-  // streaming is unavailable (no backing file) or fails; either way the
-  // views are value-equivalent. Exception: a stream abandoned by
-  // options.cancel does NOT fall back (no wasted full scan after a
-  // cancelled query) — the cache is left empty and must be discarded.
+  // ChunkAggregator::ComputeOutOfCore. Falls back to the in-memory pass
+  // when streaming is unavailable (no backing file) or fails; either way
+  // the views are value-equivalent. Exception: a stream abandoned by
+  // `cancel` does NOT fall back (no wasted full scan after a cancelled
+  // query) — the cache is left empty and must be discarded.
   AggregateCache(const Cube& cube, const std::vector<GroupByMask>& masks,
-                 SimulatedDisk* disk,
-                 const ChunkAggregator::OutOfCoreOptions& options,
-                 int threads = 1);
+                 SimulatedDisk* disk, int threads = 1,
+                 const CancellationToken& cancel = {});
 
   // Convenience: HRU-greedy selection of up to `max_views` views.
   static AggregateCache BuildGreedy(const Cube& cube, int max_views);

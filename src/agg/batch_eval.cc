@@ -308,7 +308,7 @@ void BatchCellEvaluator::PlanAndMaterialize(
     static Counter* denied =
         MetricsRegistry::Global().counter("agg.batch.budget_denied");
     denied->Increment();
-    if (options_.on_degrade) options_.on_degrade("batched_eval_off");
+    if (options_.on_degrade) options_.on_degrade();
     span.SetDetail("views=0 budget_denied");
     return;
   }
@@ -317,13 +317,8 @@ void BatchCellEvaluator::PlanAndMaterialize(
   // Deterministic view order regardless of ref-count ranking.
   std::sort(masks.begin(), masks.end());
   if (options_.out_of_core_disk != nullptr) {
-    ChunkAggregator::OutOfCoreOptions ooc;
-    ooc.pipelined = options_.pipelined_io;
-    ooc.pipeline = options_.pipeline;
-    ooc.cancel = options_.cancel;
-    ooc.on_degrade = options_.on_degrade;
-    scratch_.emplace(data_, masks, options_.out_of_core_disk, ooc,
-                     options_.threads);
+    scratch_.emplace(data_, masks, options_.out_of_core_disk, options_.threads,
+                     options_.cancel);
   } else {
     scratch_.emplace(data_, masks, options_.threads, options_.cancel);
   }

@@ -12,7 +12,6 @@
 #include "agg/group_by.h"
 #include "agg/lattice.h"
 #include "cube/cube.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/simulated_disk.h"
 
 namespace olap {
@@ -58,12 +57,8 @@ struct BatchEvalOptions {
   // (ChunkAggregator::ComputeOutOfCore) instead of scanning the in-memory
   // chunk map. Falls back to the in-memory pass if streaming fails.
   SimulatedDisk* out_of_core_disk = nullptr;
-  // Stream through an async ChunkPipeline (prefetch + coalesced ranged
-  // reads) instead of synchronous per-chunk fetches.
-  bool pipelined_io = false;
-  ChunkPipelineOptions pipeline;
   // Cooperative cancellation, threaded into the materialization pass and
-  // its pipeline. A Prepare* that observes a stop request publishes NO
+  // its chunk stream. A Prepare* that observes a stop request publishes NO
   // scratch views (the cache is never left partially materialized); the
   // evaluator itself stays usable on the per-cell path.
   CancellationToken cancel;
@@ -71,11 +66,11 @@ struct BatchEvalOptions {
   // (all may be empty). try_reserve_cells(total_view_cells) is asked
   // before scratch materialization; a denial skips the whole scratch plan
   // — refs fall back to per-cell evaluation — and is reported through
-  // on_degrade("batched_eval_off"). The reservation is returned via
-  // release_cells when the evaluator dies.
+  // on_degrade (the governor's batched_eval_off rung). The reservation is
+  // returned via release_cells when the evaluator dies.
   std::function<bool(int64_t)> try_reserve_cells;
   std::function<void(int64_t)> release_cells;
-  std::function<void(const char*)> on_degrade;
+  std::function<void()> on_degrade;
 };
 
 class BatchCellEvaluator {

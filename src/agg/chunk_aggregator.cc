@@ -28,6 +28,26 @@ constexpr int64_t kMinWorkForPartitioning = int64_t{1} << 16;
 
 }  // namespace
 
+int64_t RollupPartitionCount(int64_t num_visited, int64_t cells_scanned,
+                             int64_t cells_per_chunk, int64_t total_view_cells,
+                             int64_t num_masks) {
+  num_masks = std::max<int64_t>(1, num_masks);
+  total_view_cells = std::max<int64_t>(1, total_view_cells);
+  if (cells_scanned * num_masks < kMinWorkForPartitioning) return 1;
+  const int64_t by_mem = std::max<int64_t>(1, kMaxPartialCells / total_view_cells);
+  // Each partition pays ~total_view_cells of partial-buffer allocation and
+  // merge on top of its share of the scan, so cap the partition count to
+  // keep that overhead under ~25% of the scan work. Coarse views (the
+  // common rollup case) leave this unconstrained; near-full-rank views
+  // collapse toward the direct single-partition path.
+  const int64_t by_merge_cost = std::max<int64_t>(
+      1, num_visited * cells_per_chunk * num_masks / (4 * total_view_cells));
+  return std::max<int64_t>(
+      1, std::min<int64_t>({(num_visited + kMinChunksPerPartition - 1) /
+                                kMinChunksPerPartition,
+                            by_mem, by_merge_cost, kMaxPartitions}));
+}
+
 void AccumulateChunkIntoGroupBys(const ChunkLayout& layout, ChunkId id,
                                  const Chunk& chunk,
                                  std::vector<GroupByResult>* out) {
@@ -313,25 +333,10 @@ std::vector<GroupByResult> ChunkAggregator::Compute(
   const int64_t num_visited = static_cast<int64_t>(visit.size());
   int64_t total_view_cells = 0;
   for (const GroupByResult& g : out) total_view_cells += g.num_cells();
-  const int64_t by_mem =
-      std::max<int64_t>(1, kMaxPartialCells / std::max<int64_t>(1, total_view_cells));
-  const int64_t num_masks = static_cast<int64_t>(std::max<size_t>(1, masks.size()));
-  const int64_t total_work = stats_.cells_scanned * num_masks;
-  // Each partition pays ~total_view_cells of partial-buffer allocation and
-  // merge on top of its share of the scan, so cap the partition count to
-  // keep that overhead under ~25% of the scan work. Coarse views (the
-  // common rollup case) leave this unconstrained; near-full-rank views
-  // collapse toward the direct single-partition path.
-  const int64_t scan_cells = num_visited * layout.cells_per_chunk();
-  const int64_t by_merge_cost = std::max<int64_t>(
-      1, scan_cells * num_masks / (4 * std::max<int64_t>(1, total_view_cells)));
   const int64_t num_partitions =
-      total_work < kMinWorkForPartitioning
-          ? 1
-          : std::max<int64_t>(
-                1, std::min<int64_t>({(num_visited + kMinChunksPerPartition - 1) /
-                                          kMinChunksPerPartition,
-                                      by_mem, by_merge_cost, kMaxPartitions}));
+      RollupPartitionCount(num_visited, stats_.cells_scanned,
+                           layout.cells_per_chunk(), total_view_cells,
+                           static_cast<int64_t>(masks.size()));
 
   if (num_partitions <= 1) {
     for (const auto& [id, chunk] : visit) {
@@ -380,7 +385,7 @@ std::vector<GroupByResult> ChunkAggregator::Compute(
 
 Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
     const std::vector<GroupByMask>& masks, const std::vector<int>& order,
-    SimulatedDisk* disk, const OutOfCoreOptions& options) {
+    SimulatedDisk* disk, const CancellationToken& cancel) {
   TraceSpan span("agg.rollup_outofcore");
   if (disk == nullptr || !disk->has_backing()) {
     Status status =
@@ -423,105 +428,41 @@ Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
     if (pos == n) break;
   }
 
-  // The partition plan mirrors Compute's, with the one out-of-core
-  // difference that cells_scanned is unknown before the stream runs, so
-  // the work estimate uses whole-chunk cell counts. Still workload-only:
-  // identical for both streaming modes and every io_threads setting.
+  // The partition plan is Compute's, with the one out-of-core difference
+  // that cells_scanned is unknown before the stream runs, so the work
+  // estimate uses whole-chunk cell counts. Still workload-only.
   const int64_t num_visited = static_cast<int64_t>(visit.size());
   int64_t total_view_cells = 0;
   for (const GroupByResult& g : out) total_view_cells += g.num_cells();
-  const int64_t by_mem = std::max<int64_t>(
-      1, kMaxPartialCells / std::max<int64_t>(1, total_view_cells));
-  const int64_t num_masks = static_cast<int64_t>(std::max<size_t>(1, masks.size()));
-  const int64_t scan_cells = num_visited * layout.cells_per_chunk();
-  const int64_t total_work = scan_cells * num_masks;
-  const int64_t by_merge_cost = std::max<int64_t>(
-      1, scan_cells * num_masks / (4 * std::max<int64_t>(1, total_view_cells)));
-  const int64_t num_partitions =
-      total_work < kMinWorkForPartitioning
-          ? 1
-          : std::max<int64_t>(
-                1, std::min<int64_t>({(num_visited + kMinChunksPerPartition - 1) /
-                                          kMinChunksPerPartition,
-                                      by_mem, by_merge_cost, kMaxPartitions}));
+  const int64_t num_partitions = RollupPartitionCount(
+      num_visited, num_visited * layout.cells_per_chunk(),
+      layout.cells_per_chunk(), total_view_cells,
+      static_cast<int64_t>(masks.size()));
 
   std::vector<std::vector<GroupByResult>> partials;
-  // A degraded retry restarts the stream, so accumulation state must be
-  // rebuilt from shells before every attempt — the delivered numbers are
-  // exactly one successful pass's, bit-identical to an undegraded run.
-  auto reset_accumulators = [&] {
-    stats_.cells_scanned = 0;
-    out.clear();
-    for (GroupByMask mask : masks) out.push_back(MakeGroupByShell(cube_, mask));
-    partials.clear();
-    if (num_partitions > 1) {
-      partials.resize(num_partitions);
-      for (int64_t p = 0; p < num_partitions; ++p) {
-        partials[p].reserve(masks.size());
-        for (GroupByMask mask : masks) {
-          partials[p].push_back(MakeGroupByShell(cube_, mask));
-        }
+  if (num_partitions > 1) {
+    partials.resize(num_partitions);
+    for (int64_t p = 0; p < num_partitions; ++p) {
+      partials[p].reserve(masks.size());
+      for (GroupByMask mask : masks) {
+        partials[p].push_back(MakeGroupByShell(cube_, mask));
       }
     }
-  };
-  // Streams chunks in visit order into the partition that owns each visit
-  // index; identical accumulation and merge order in both modes.
-  auto partition_of = [&](int64_t i) {
-    return num_partitions <= 1 ? int64_t{0} : i * num_partitions / num_visited;
-  };
-  auto run_stream = [&](bool pipelined,
-                        const ChunkPipelineOptions& popts) -> Status {
-    reset_accumulators();
-    std::vector<GroupByResult>* sink = &out;
-    auto accumulate = [&](int64_t i, ChunkId id, const Chunk& chunk) {
-      stats_.cells_scanned += chunk.CountNonNull();
-      if (num_partitions > 1) sink = &partials[partition_of(i)];
-      AccumulateChunkIntoGroupBys(layout, id, chunk, sink);
-    };
-    if (!pipelined) {
-      for (int64_t i = 0; i < num_visited; ++i) {
-        OLAP_RETURN_IF_ERROR(options.cancel.Poll("rollup stream"));
-        Result<Chunk> chunk = disk->FetchChunk(visit[i]);
-        if (!chunk.ok()) return chunk.status();
-        accumulate(i, visit[i], *chunk);
-      }
-    } else {
-      ChunkPipeline pipeline(disk, visit, popts);
-      for (int64_t i = 0; i < num_visited; ++i) {
-        Result<ChunkPipeline::Pin> pin = pipeline.Next();
-        if (!pin.ok()) return pin.status();
-        accumulate(i, pin->id(), pin->chunk());
-      }
-    }
-    return Status::Ok();
-  };
-
-  static Counter* lookahead_retries =
-      MetricsRegistry::Global().counter("agg.outofcore.lookahead_retries");
-  static Counter* sync_fallbacks =
-      MetricsRegistry::Global().counter("agg.outofcore.sync_fallbacks");
-
-  ChunkPipelineOptions popts = options.pipeline;
-  popts.cancel = options.cancel;
-  bool pipelined = options.pipelined;
-  Status stream_status = run_stream(pipelined, popts);
-  // Degradation ladder (DESIGN.md §11): a kResourceExhausted pipelined
-  // stream — pin budget wedged by the consumer, or the device out of
-  // quota — retries with the lookahead window halved (shrinking the
-  // derived pin budget with it), then falls back to the synchronous
-  // per-chunk loop; only a sync pass that still fails surfaces the error.
-  while (stream_status.code() == StatusCode::kResourceExhausted && pipelined) {
-    if (popts.lookahead > 1) {
-      popts.lookahead = std::max(1, popts.lookahead / 2);
-      lookahead_retries->Increment();
-      if (options.on_degrade) options.on_degrade("lookahead_halved");
-    } else {
-      pipelined = false;
-      sync_fallbacks->Increment();
-      if (options.on_degrade) options.on_degrade("sync_io");
-    }
-    stream_status = run_stream(pipelined, popts);
   }
+  // Chunks arrive in visit order; each goes to the partition owning its
+  // visit index.
+  int64_t next = 0;
+  Status stream_status = disk->ReadSchedule(
+      visit,
+      [&](ChunkId id, const Chunk& chunk) {
+        stats_.cells_scanned += chunk.CountNonNull();
+        std::vector<GroupByResult>* sink =
+            num_partitions > 1 ? &partials[next * num_partitions / num_visited]
+                               : &out;
+        AccumulateChunkIntoGroupBys(layout, id, chunk, sink);
+        ++next;
+      },
+      cancel);
   if (!stream_status.ok()) {
     span.SetError(stream_status);
     return stream_status;
@@ -533,8 +474,7 @@ Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
   }
 
   span.SetDetail("masks=" + std::to_string(masks.size()) +
-                 " chunks=" + std::to_string(stats_.chunks_read) +
-                 (options.pipelined ? " pipelined" : " sync"));
+                 " chunks=" + std::to_string(stats_.chunks_read));
   MetricsRegistry& reg = MetricsRegistry::Global();
   static Counter* rollups = reg.counter("agg.rollups");
   static Counter* chunks_read = reg.counter("agg.chunks_read");

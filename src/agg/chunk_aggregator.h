@@ -2,14 +2,12 @@
 #define OLAP_AGG_CHUNK_AGGREGATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "agg/group_by.h"
 #include "agg/lattice.h"
 #include "common/cancellation.h"
 #include "cube/cube.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/simulated_disk.h"
 
 namespace olap {
@@ -69,37 +67,18 @@ class ChunkAggregator {
 
   // Out-of-core variant: reads the chunk data from `disk`'s backing file
   // (which must store this aggregator's cube) instead of the in-memory
-  // chunk map. The traversal order, the workload-only partition plan, and
-  // the ascending partial merge are the same as Compute's, and chunks are
-  // accumulated strictly in traversal order — so the two streaming modes
-  // below are bit-identical to each other at every io_threads setting:
-  //   * pipelined=false: synchronous FetchChunk per visited chunk (the
-  //     oracle — compute stalls on every virtual+real read);
-  //   * pipelined=true:  chunks stream through a ChunkPipeline (prefetch,
-  //     coalesced ranged reads, bounded pin table), one pin held at a time.
-  // kFailedPrecondition without a backing file; read errors propagate —
-  // except kResourceExhausted from the pipelined mode, which walks a
-  // degradation ladder first: the stream is retried with the lookahead
-  // window halved (repeatedly, down to 1), then falls back to the
-  // synchronous per-chunk loop, and only a still-failing sync pass
-  // surfaces the error. Each retry restarts accumulation from scratch, so
-  // the delivered numbers are exactly the successful pass's (bit-identical
-  // to an undegraded run). Rungs taken are reported through `on_degrade`
-  // and the agg.outofcore.* counters.
-  struct OutOfCoreOptions {
-    bool pipelined = false;
-    ChunkPipelineOptions pipeline;
-    // Polled per streamed chunk; also threaded into the pipeline. On a
-    // stop request ComputeOutOfCore returns kCancelled/kDeadlineExceeded
-    // (cancellation is terminal: the ladder does not retry it).
-    CancellationToken cancel;
-    // Ladder-step callback ("lookahead_halved", "sync_io"); the engine
-    // wires this to QueryContext::RecordDegradation. May be empty.
-    std::function<void(const char*)> on_degrade;
-  };
+  // chunk map, streaming the traversal through SimulatedDisk::ReadSchedule
+  // (coalesced ranged reads, delivered in traversal order). The traversal
+  // order, the workload-only partition plan and the ascending partial
+  // merge follow Compute's, so the views equal Compute's (bitwise on
+  // exactly-summable data: the plan estimates work from whole-chunk cell
+  // counts, which may cut different partitions).
+  // kFailedPrecondition without a backing file; read errors propagate
+  // once the walk's retries are spent; `cancel` is polled per ranged read
+  // and a stop request returns kCancelled / kDeadlineExceeded.
   Result<std::vector<GroupByResult>> ComputeOutOfCore(
       const std::vector<GroupByMask>& masks, const std::vector<int>& order,
-      SimulatedDisk* disk, const OutOfCoreOptions& options);
+      SimulatedDisk* disk, const CancellationToken& cancel = {});
 
   const AggStats& stats() const { return stats_; }
 
@@ -139,6 +118,17 @@ void AccumulateChunkIntoGroupByWeighted(const ChunkLayout& layout, ChunkId id,
 // Helper shared with the engine: makes one GroupByResult shell for `mask`
 // over `cube`'s position extents.
 GroupByResult MakeGroupByShell(const Cube& cube, GroupByMask mask);
+
+// The roll-up partition plan shared by Compute and ComputeOutOfCore: how
+// many contiguous partitions a visit list of `num_visited` stored chunks is
+// cut into, given the input-cell work estimate `cells_scanned` and the
+// summed cell count of the requested views. Depends only on the workload,
+// never on the thread count. Partition p owns visit indices
+// [p * num_visited / count, (p + 1) * num_visited / count), and the
+// partials merge in ascending p.
+int64_t RollupPartitionCount(int64_t num_visited, int64_t cells_scanned,
+                             int64_t cells_per_chunk, int64_t total_view_cells,
+                             int64_t num_masks);
 
 }  // namespace olap
 

@@ -16,7 +16,7 @@ namespace olap {
 // granularity (a chunk, a row block, a retry attempt). Nothing is ever
 // interrupted preemptively — code that observes a stop request unwinds by
 // returning Status::Cancelled / Status::DeadlineExceeded, which is what
-// keeps every exit path ordinary C++ control flow (pins released by RAII,
+// keeps every exit path ordinary C++ control flow (locks released by RAII,
 // trace spans closed by destructors, no orphaned pool tasks).
 //
 // Three ways a token can trip:

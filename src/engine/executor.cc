@@ -125,20 +125,6 @@ void ApplyAutoScope(const BoundQuery& bound, const Cube& cube,
   }
 }
 
-// Maps the degradation names reported by the lower layers (batch_eval /
-// chunk_aggregator on_degrade callbacks) onto governor ladder rungs.
-void RecordNamedDegradation(QueryContext* ctx, const char* name) {
-  if (ctx == nullptr || name == nullptr) return;
-  const std::string_view step(name);
-  if (step == "batched_eval_off") {
-    ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
-  } else if (step == "lookahead_halved") {
-    ctx->RecordDegradation(DegradeStep::kLookaheadHalved);
-  } else if (step == "sync_io") {
-    ctx->RecordDegradation(DegradeStep::kSyncIo);
-  }
-}
-
 }  // namespace
 
 Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
@@ -224,28 +210,9 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     result.used_whatif = true;
   }
 
-  // Out-of-core pipeline configuration, shared by the what-if read passes
-  // and the batched-eval scratch materialization below.
-  ChunkPipelineOptions pipeline_options;
-  pipeline_options.lookahead = std::max(1, options.pipeline_lookahead);
-  pipeline_options.pin_budget = options.chunk_memory_budget;
-  pipeline_options.io_threads = std::max(1, options.eval_threads);
-  pipeline_options.cancel = cancel;
-  const ChunkPipelineOptions* pipeline =
-      options.pipelined_io && options.disk != nullptr ? &pipeline_options
-                                                      : nullptr;
-  // Ladder at pipeline setup: under pressure the prefetch window is halved
-  // (sheds pinned-chunk budget); under *memory* pressure pipelined I/O is
-  // dropped entirely for the synchronous per-chunk loop. Results are
-  // bit-identical either way — only I/O shape changes.
-  if (ctx != nullptr && pipeline != nullptr && ctx->UnderPressure()) {
-    pipeline_options.lookahead = std::max(1, pipeline_options.lookahead / 2);
-    ctx->RecordDegradation(DegradeStep::kLookaheadHalved);
-    if (ctx->UnderMemoryPressure()) {
-      pipeline = nullptr;
-      ctx->RecordDegradation(DegradeStep::kSyncIo);
-    }
-  }
+  // Out-of-core reads, shared by the what-if read passes and the
+  // batched-eval scratch materialization below.
+  const bool pipelined_io = options.pipelined_io && options.disk != nullptr;
 
   if (!specs.empty()) {
     // Single-what-if queries can confine the instance merge (Sec. 6.3).
@@ -268,7 +235,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     scenario_options.disk = options.disk;
     scenario_options.stats = &result.whatif_stats;
     scenario_options.eval_threads = options.eval_threads;
-    scenario_options.pipeline = pipeline;
+    scenario_options.pipelined_io = pipelined_io;
     scenario_options.cancel = cancel;
     Result<PerspectiveCube> computed =
         ComposeScenarios(*active, scenarios, scenario_options);
@@ -400,18 +367,15 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
       batch_options.release_cells = [ctx](int64_t cells) {
         ctx->ReleaseCells(cells);
       };
-      batch_options.on_degrade = [ctx](const char* name) {
-        RecordNamedDegradation(ctx, name);
+      batch_options.on_degrade = [ctx] {
+        ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
       };
     }
     // Out-of-core scratch materialization is only sound when the backing
     // file stores the evaluation cube itself (a what-if transform lives in
     // memory only, never on the simulated device).
-    if (pipeline != nullptr && options.disk->has_backing() &&
-        eval_cube == *cube) {
+    if (pipelined_io && options.disk->has_backing() && eval_cube == *cube) {
       batch_options.out_of_core_disk = options.disk;
-      batch_options.pipelined_io = true;
-      batch_options.pipeline = pipeline_options;
     }
     batch.emplace(*eval_cube, cache, batch_options);
     std::vector<std::vector<std::pair<int, AxisRef>>> row_over, col_over;
@@ -688,14 +652,7 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   copts.eval.stats = &result.whatif_stats;
   copts.eval.eval_threads = options.eval_threads;
   copts.eval.cancel = cancel;
-  ChunkPipelineOptions pipeline_options;
-  pipeline_options.lookahead = std::max(1, options.pipeline_lookahead);
-  pipeline_options.pin_budget = options.chunk_memory_budget;
-  pipeline_options.io_threads = std::max(1, options.eval_threads);
-  pipeline_options.cancel = cancel;
-  if (options.pipelined_io && options.disk != nullptr) {
-    copts.eval.pipeline = &pipeline_options;
-  }
+  copts.eval.pipelined_io = options.pipelined_io && options.disk != nullptr;
   copts.batched_eval = options.batched_eval;
   if (copts.batched_eval && ctx != nullptr && ctx->UnderPressure()) {
     // Same first ladder rung as ordinary queries: the shared scratch views

@@ -49,19 +49,13 @@ struct QueryOptions {
   // Values are identical either way on exactly-summable data; sums are
   // re-associated, so the last float bits can differ otherwise.
   bool batched_eval = true;
-  // Out-of-core pipeline (needs `disk`): what-if read passes charge the
-  // pebbling schedule through ChunkPipeline's windowed coalescing instead
-  // of one seek per chunk, and — when the disk has a backing file storing
-  // the evaluation cube — batched-eval scratch views stream their chunks
-  // from the backing file through an async prefetch pipeline. Results are
-  // bit-identical with the option off; only I/O cost and overlap change.
+  // Out-of-core reads (needs `disk`): what-if read passes charge the
+  // pebbling schedule through SimulatedDisk::ReadSchedule's windowed
+  // coalescing instead of one seek per chunk, and — when the disk has a
+  // backing file storing the evaluation cube — batched-eval scratch views
+  // stream their chunks from the backing file through the same walk.
+  // Results are bit-identical with the option off; only I/O changes.
   bool pipelined_io = false;
-  // Prefetch window of the pipeline (schedule entries eligible for
-  // coalescing / in-flight fetches).
-  int pipeline_lookahead = 16;
-  // Pinned-chunk memory budget (chunks). <= 0 resolves per pass to
-  // max(peak_pebbles, lookahead) — the Sec. 5.2 pebble count.
-  int64_t chunk_memory_budget = 0;
   // Query governance: deadline, cooperative cancellation and memory budget
   // (see engine/governor.h). Inactive by default — governed queries create
   // a QueryContext whose token is threaded through every phase and whose

@@ -29,12 +29,7 @@ namespace olap {
 //   1. kBatchedEvalOff   — derived cells fall back from batched cover-view
 //                          evaluation to the per-cell path (sheds the
 //                          scratch-view materialization: memory + startup).
-//   2. kLookaheadHalved  — the out-of-core pipeline retries with half the
-//                          lookahead window (sheds pinned-chunk budget).
-//   3. kSyncIo           — pipelined I/O falls back to the synchronous
-//                          per-chunk loop (sheds prefetch buffers and the
-//                          I/O helper tasks).
-//   4. kSerialRollup     — parallel rollup/evaluation falls back to serial
+//   2. kSerialRollup     — parallel rollup/evaluation falls back to serial
 //                          (returns pool slots to other tenants).
 // Downgrades only ever shrink resource use, and results stay bit-identical
 // to the undegraded plan — every rung reuses an execution path whose
@@ -64,8 +59,6 @@ struct GovernorOptions {
 
 enum class DegradeStep {
   kBatchedEvalOff,
-  kLookaheadHalved,
-  kSyncIo,
   kSerialRollup,
 };
 
@@ -80,8 +73,8 @@ class QueryContext {
   QueryContext(const QueryContext&) = delete;
   QueryContext& operator=(const QueryContext&) = delete;
 
-  // The token to thread into ParallelFor / pipelines / operators. Trips on
-  // RequestCancel of the chained parent or on deadline expiry.
+  // The token to thread into ParallelFor, chunk streams and operators.
+  // Trips on RequestCancel of the chained parent or on deadline expiry.
   const CancellationToken& cancel() const { return source_.token(); }
 
   // Ok, or the terminal kCancelled / kDeadlineExceeded status. Phase

@@ -1,14 +1,14 @@
 #ifndef OLAP_STORAGE_SIMULATED_DISK_H_
 #define OLAP_STORAGE_SIMULATED_DISK_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/status.h"
 #include "cube/chunk.h"
 #include "cube/chunk_layout.h"
@@ -50,20 +50,16 @@ struct IoStats {
 // The engine's evaluation strategies call ReadChunk for every chunk they
 // visit; benchmarks add stats().virtual_seconds to measured CPU time.
 //
-// Thread-safe. The cache and head position are inherently sequential (the
-// cost of an access depends on the previous one), so they stay behind one
-// mutex — but the critical section is now just the cache touch and the
-// head/seek arithmetic. Statistics accumulate in cache-line-padded stripes
-// of relaxed atomics outside the lock and are merged on demand by stats(),
-// so parallel fetches no longer serialise on stats accounting. The cost
-// model itself stays deterministic for pipelined readers because the
-// ChunkPipeline charges in schedule order from one thread (see
-// storage/chunk_pipeline.h); only the data reads fan out.
+// Thread-safe: the cache, the head position and the statistics sit behind
+// one mutex. The cost of an access depends on the previous one, so the
+// accounting is inherently sequential; every charge of a query runs on
+// that query's thread.
 //
 // Optionally backed by a real OLAPCUB2 cube file via AttachBackingFile:
-// FetchChunk/FetchRun then route cache misses through the Env as ranged,
-// CRC-verified reads of the file's chunk records (storage/cube_io.h) while
-// charging the same cost model — the out-of-core read path of the engine.
+// FetchChunk/FetchRun/ReadSchedule then route cache misses through the Env
+// as ranged, CRC-verified reads of the file's chunk records
+// (storage/cube_io.h) while charging the same cost model — the out-of-core
+// read path of the engine.
 class SimulatedDisk {
  public:
   SimulatedDisk(const DiskModel& model, int64_t cache_capacity_chunks)
@@ -99,14 +95,30 @@ class SimulatedDisk {
   // records with one ranged file read.
   Result<std::vector<Chunk>> FetchRun(ChunkId begin, int count);
 
-  // Data-only ranged read of backing chunks [begin, begin + count) —
-  // charges nothing. The ChunkPipeline charges the cost model separately
-  // (in schedule order, from the issuing thread) and calls this from pool
-  // workers; positional preads make concurrent calls safe.
-  Result<std::vector<Chunk>> ReadBackingRun(ChunkId begin, int count) const;
+  // Schedule entries the coalescing walk looks at once: its coalescing
+  // horizon and the most decoded chunks it holds. 16 is the lookahead the
+  // asynchronous prefetcher this walk replaced used by default, so the
+  // perspective read passes charge exactly what they charged under it
+  // (EXPERIMENTS.md has the walk's own 1/4/16/64 sweep).
+  static constexpr int kScheduleWindow = 16;
 
-  // A merged snapshot of the counters (safe while other threads read;
-  // exact once concurrent readers have quiesced).
+  using ChunkSink = std::function<void(ChunkId id, const Chunk& chunk)>;
+
+  // Reads `schedule` (normally a Sec. 5.2 pebbling order) on the calling
+  // thread. At each unread entry the walk takes the window of the next
+  // kScheduleWindow entries and grows the entry's id into the maximal run
+  // of adjacent ids that the window's unread entries hold; the run is one
+  // ReadRun charge and marks every window entry it covers as read. With
+  // `sink`, each run is read with FetchRun (retried on transient faults
+  // under the default RetryPolicy, honouring `cancel`) and every entry's
+  // chunk goes to `sink` in schedule order, revisits included. Without
+  // it the walk only charges and needs no backing file; a fault-free
+  // stream charges exactly what the charge-only walk does. Returns the
+  // first read error or the token's stop status (polled once per run).
+  Status ReadSchedule(const std::vector<ChunkId>& schedule,
+                      const ChunkSink& sink = nullptr,
+                      const CancellationToken& cancel = {});
+
   IoStats stats() const;
   void ResetStats();
   // Drops cache contents, resets the head to chunk 0 and zeroes the stats.
@@ -115,30 +127,13 @@ class SimulatedDisk {
   const DiskModel& model() const { return model_; }
 
  private:
-  // Per-stripe statistics, padded to a cache line so concurrent fetch
-  // threads don't false-share. Stripes are picked by thread identity;
-  // totals are exact because every field is a commutative sum. The virtual
-  // time accumulates per-stripe as a double (serial and pipelined charging
-  // stay on one stripe, preserving the exact pre-striping sums) and merges
-  // in ascending stripe order.
-  struct alignas(64) StatStripe {
-    std::atomic<int64_t> physical_reads{0};
-    std::atomic<int64_t> cache_hits{0};
-    std::atomic<int64_t> evictions{0};
-    std::atomic<int64_t> seek_chunks{0};
-    std::atomic<int64_t> coalesced_reads{0};
-    std::atomic<double> virtual_seconds{0.0};
-  };
-  static constexpr int kStatStripes = 8;
-
-  StatStripe& LocalStripe();
-  static void AddSeconds(std::atomic<double>* slot, double delta);
+  double SeekSeconds(int64_t distance) const;
 
   DiskModel model_;
-  mutable std::mutex mu_;  // Guards cache_ and head_ only.
+  mutable std::mutex mu_;  // Guards cache_, head_ and stats_.
   LruChunkCache cache_;
   ChunkId head_ = 0;
-  std::array<StatStripe, kStatStripes> stripes_;
+  IoStats stats_;
   std::unique_ptr<RandomAccessFile> backing_file_;
   CubeChunkIndex backing_index_;
 };

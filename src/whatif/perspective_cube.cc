@@ -42,34 +42,28 @@ Gauge* PeakMergeChunksGauge() {
   return g;
 }
 
-// Charges one read pass over `schedule`. The synchronous loop is the
-// oracle; with `pipeline` set the same schedule is charged through the
-// out-of-core pipeline's windowed run coalescing (identical chunk set,
-// fewer seeks). `peak_pebbles` > 0 resolves a defaulted pin budget.
+// Charges one read pass over `schedule`: one seek per chunk, or with
+// `pipelined_io` the coalescing walk's ranged reads (identical chunk set,
+// fewer seeks).
 void ChargeReadPass(const std::vector<ChunkId>& schedule, SimulatedDisk* disk,
-                    const ChunkPipelineOptions* pipeline, int peak_pebbles) {
+                    bool pipelined_io) {
   if (disk == nullptr) return;
-  if (pipeline == nullptr) {
-    for (ChunkId id : schedule) disk->ReadChunk(id);
+  if (pipelined_io) {
+    disk->ReadSchedule(schedule);  // Charge-only: cannot fail.
     return;
   }
-  ChunkPipelineOptions opts = *pipeline;
-  if (opts.pin_budget <= 0) {
-    opts.pin_budget =
-        std::max<int64_t>(std::max(1, peak_pebbles), opts.lookahead);
-  }
-  ChunkPipeline::ChargeSchedule(disk, schedule, opts);
+  for (ChunkId id : schedule) disk->ReadChunk(id);
 }
 
 void ChargeScan(const Cube& cube, int varying_dim,
                 const std::vector<MemberId>& scope, SimulatedDisk* disk,
-                EvalStats* stats, const ChunkPipelineOptions* pipeline) {
+                EvalStats* stats, bool pipelined_io) {
   TraceSpan span("whatif.scan");
   std::vector<ChunkId> chunks = RelevantChunks(cube, varying_dim, scope);
   span.SetDetail("chunks=" + std::to_string(chunks.size()));
   ++stats->passes;
   stats->chunk_reads += static_cast<int64_t>(chunks.size());
-  ChargeReadPass(chunks, disk, pipeline, /*peak_pebbles=*/0);
+  ChargeReadPass(chunks, disk, pipelined_io);
 }
 
 // Charges one relocation pass: only the chunks holding (a) instances that
@@ -81,8 +75,7 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
                           const std::vector<DynamicBitset>& vs_out,
                           const std::vector<MemberId>& scope,
                           bool pebbling_read_order, SimulatedDisk* disk,
-                          EvalStats* stats,
-                          const ChunkPipelineOptions* pipeline) {
+                          EvalStats* stats, bool pipelined_io) {
   TraceSpan span("whatif.merge_scan");
   const Dimension& dim = cube.schema().dimension(varying_dim);
   std::unordered_set<MemberId> in_scope(scope.begin(), scope.end());
@@ -158,7 +151,7 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
   }
   ++stats->passes;
   stats->chunk_reads += static_cast<int64_t>(schedule.size());
-  ChargeReadPass(schedule, disk, pipeline, stats->peak_merge_chunks);
+  ChargeReadPass(schedule, disk, pipelined_io);
 }
 
 // For MultipleMdx post-processing: the index of the single-perspective run
@@ -254,7 +247,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
                                                SimulatedDisk* disk,
                                                EvalStats* stats,
                                                int eval_threads,
-                                               const ChunkPipelineOptions* pipeline,
+                                               bool pipelined_io,
                                                const CancellationToken& cancel) {
   TraceSpan span("whatif.compute_perspective_cube");
   EvalStats local_stats;
@@ -288,7 +281,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
   const Cube* base = &in;
   std::optional<Cube> intro_cube;
   if (!spec.introductions.empty()) {
-    ChargeScan(in, spec.varying_dim, {}, disk, stats, pipeline);
+    ChargeScan(in, spec.varying_dim, {}, disk, stats, pipelined_io);
     Result<Cube> intro =
         IntroduceMembers(in, spec.varying_dim, spec.introductions,
                          eval_threads, cancel, &stats->cells_seeded);
@@ -302,7 +295,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
   if (!spec.changes.empty()) {
     std::vector<MemberId> changed;
     for (const ChangeTuple& tuple : spec.changes) changed.push_back(tuple.member);
-    ChargeScan(*base, spec.varying_dim, changed, disk, stats, pipeline);
+    ChargeScan(*base, spec.varying_dim, changed, disk, stats, pipelined_io);
     Result<Cube> split =
         Split(*base, spec.varying_dim, spec.changes, eval_threads, cancel);
     if (!split.ok()) return fail(split.status());
@@ -345,7 +338,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     std::vector<DynamicBitset> vs_out =
         TransformValiditySets(dim, spec.perspectives, spec.semantics);
     ChargeRelocationScan(*base, spec.varying_dim, vs_out, scan_scope,
-                         spec.pebbling_read_order, disk, stats, pipeline);
+                         spec.pebbling_read_order, disk, stats, pipelined_io);
     Cube out = Relocate(*base, spec.varying_dim, vs_out, relocate_scope,
                         /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
                         eval_threads, cancel);
@@ -369,7 +362,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     std::vector<DynamicBitset> vs =
         TransformValiditySets(dim, single, spec.semantics);
     ChargeRelocationScan(*base, spec.varying_dim, vs, scan_scope,
-                         spec.pebbling_read_order, disk, stats, pipeline);
+                         spec.pebbling_read_order, disk, stats, pipelined_io);
     runs.push_back(Relocate(*base, spec.varying_dim, vs, relocate_scope,
                             /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
                             eval_threads, cancel));

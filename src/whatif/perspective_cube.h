@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "cube/cube.h"
 #include "rules/rule.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/simulated_disk.h"
 #include "whatif/merge_graph.h"
 #include "whatif/operators.h"
@@ -126,13 +125,11 @@ class PerspectiveCube {
 // `eval_threads` parallelises the Split/Relocate data movement over the
 // shared thread pool; results are bit-identical at every thread count.
 //
-// `pipeline` (optional, needs `disk`) switches the read passes from the
-// synchronous per-chunk charge loop to the out-of-core pipeline's windowed
-// coalescing (ChunkPipeline::ChargeSchedule): the pebbling schedule is
-// walked with a lookahead window and runs of adjacent chunk ids are
-// charged as single ranged reads. A non-positive pin_budget resolves to
-// max(peak_pebbles, lookahead) per merge pass — the Sec. 5.2 pebble count
-// as a memory budget. Charging only; the computed cube is identical.
+// `pipelined_io` (needs `disk`) switches the read passes from the
+// per-chunk charge loop to the charge-only coalescing walk
+// (SimulatedDisk::ReadSchedule without a sink): runs of adjacent chunk ids
+// in the pebbling schedule's window are charged as single ranged reads.
+// Charging only; the computed cube is identical.
 //
 // `cancel` is polled at pass boundaries and threaded into the Split /
 // Relocate data movement (chunk granularity); a stop request returns
@@ -141,7 +138,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(
     const Cube& in, const WhatIfSpec& spec,
     EvalStrategy strategy = EvalStrategy::kDirect,
     SimulatedDisk* disk = nullptr, EvalStats* stats = nullptr,
-    int eval_threads = 1, const ChunkPipelineOptions* pipeline = nullptr,
+    int eval_threads = 1, bool pipelined_io = false,
     const CancellationToken& cancel = {});
 
 // --- Lemma 5.1 / Sec. 5.2 planning helpers --------------------------------

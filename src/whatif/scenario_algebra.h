@@ -89,7 +89,7 @@ struct ScenarioEvalOptions {
   SimulatedDisk* disk = nullptr;
   EvalStats* stats = nullptr;  // Reset, then accumulated across stages.
   int eval_threads = 1;
-  const ChunkPipelineOptions* pipeline = nullptr;
+  bool pipelined_io = false;
   CancellationToken cancel;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +87,20 @@ struct AggCase {
   double density;
   std::vector<int> order;
 };
+
+// gtest_discover_tests names each case after this print. gtest's default
+// byte dump would include the vectors' heap pointers, which change from run
+// to run, so the ctest names would too.
+void PrintTo(const AggCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " extents=";
+  for (size_t i = 0; i < c.extents.size(); ++i) {
+    *os << (i ? "x" : "") << c.extents[i];
+  }
+  *os << " chunk=" << c.chunk_size << " density=" << c.density << " order=";
+  for (size_t i = 0; i < c.order.size(); ++i) {
+    *os << (i ? "," : "") << c.order[i];
+  }
+}
 
 class ChunkAggEquivalence : public ::testing::TestWithParam<AggCase> {};
 

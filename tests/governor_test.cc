@@ -3,7 +3,7 @@
 // (recorded in governor.* metrics, the query result and EXPLAIN ANALYZE)
 // instead of failing outright, degraded and cancelled-then-retried queries
 // stay bit-identical to the ungoverned oracle, and every exit path leaves
-// the engine reusable (pins returned, reservations released).
+// the engine reusable (reservations released, the disk readable).
 
 #include "engine/governor.h"
 
@@ -20,7 +20,6 @@
 #include "agg/chunk_aggregator.h"
 #include "common/metrics.h"
 #include "engine/executor.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/cube_io.h"
 #include "storage/fault_env.h"
 #include "storage/simulated_disk.h"
@@ -130,12 +129,12 @@ TEST(QueryContextTest, DegradationStepsDeduplicateAndKeepOrder) {
   GovernorOptions options;
   options.enabled = true;
   QueryContext ctx(options);
-  ctx.RecordDegradation(DegradeStep::kSyncIo);
+  ctx.RecordDegradation(DegradeStep::kSerialRollup);
   ctx.RecordDegradation(DegradeStep::kBatchedEvalOff);
-  ctx.RecordDegradation(DegradeStep::kSyncIo);  // Duplicate collapses.
+  ctx.RecordDegradation(DegradeStep::kSerialRollup);  // Duplicate collapses.
   const std::vector<std::string> steps = ctx.degradation_steps();
   ASSERT_EQ(steps.size(), 2u);
-  EXPECT_EQ(steps[0], "sync_io");
+  EXPECT_EQ(steps[0], "serial_rollup");
   EXPECT_EQ(steps[1], "batched_eval_off");
 }
 
@@ -322,9 +321,9 @@ TEST_F(GovernedQueryTest, ExplainAnalyzeShowsIdleGovernor) {
   EXPECT_NE(text->find("governor: active, no degradation"), std::string::npos);
 }
 
-// ---- out-of-core ladder (kResourceExhausted degradation) ------------------
+// ---- out-of-core stream: read faults and cancellation ---------------------
 
-class OutOfCoreLadderTest : public ::testing::Test {
+class OutOfCoreStreamTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ProductCubeConfig config;
@@ -350,27 +349,20 @@ class OutOfCoreLadderTest : public ::testing::Test {
   std::vector<GroupByResult> oracle_;
 };
 
-TEST_F(OutOfCoreLadderTest, ResourceExhaustedRetriesWithHalvedLookahead) {
+TEST_F(OutOfCoreStreamTest, TransientExhaustionRecoversBitIdentically) {
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
-  // Inject after attach so the fault hits the pipeline's fetch, not the
-  // backing-file indexing pass.
+  // Inject after attach so the fault hits the stream's first ranged read,
+  // not the backing-file indexing pass.
   env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kResourceExhausted,
                   /*times=*/1);
-
-  ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 16;
-  options.pipeline.io_threads = 1;  // FaultInjectingEnv is not thread-safe.
-  std::vector<std::string> degradations;
-  options.on_degrade = [&](const char* step) { degradations.push_back(step); };
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
   ChunkAggregator agg(workload_.cube);
   Result<std::vector<GroupByResult>> views =
-      agg.ComputeOutOfCore(masks_, order_, &disk, options);
+      agg.ComputeOutOfCore(masks_, order_, &disk);
   ASSERT_TRUE(views.ok()) << views.status().ToString();
   const MetricsRegistry::Snapshot delta =
       MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
@@ -378,117 +370,70 @@ TEST_F(OutOfCoreLadderTest, ResourceExhaustedRetriesWithHalvedLookahead) {
   for (size_t i = 0; i < masks_.size(); ++i) {
     EXPECT_TRUE((*views)[i] == oracle_[i]) << "mask " << i;
   }
-  ASSERT_FALSE(degradations.empty());
-  EXPECT_EQ(degradations[0], "lookahead_halved");
-  EXPECT_GE(delta.counter_value("agg.outofcore.lookahead_retries"), 1);
+  // The fault was taken and retried, not skipped.
+  EXPECT_EQ(delta.counter_value("disk.fetch_failures"), 1);
 }
 
-TEST_F(OutOfCoreLadderTest, LookaheadExhaustionFallsBackToSyncIo) {
-  FaultInjectingEnv env(Env::Default());
-  SimulatedDisk disk(TestModel(), 0);
-  ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
-  env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kResourceExhausted,
-                  /*times=*/1);
-
-  ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 1;  // Bottom rung: straight to sync I/O.
-  options.pipeline.io_threads = 1;
-  std::vector<std::string> degradations;
-  options.on_degrade = [&](const char* step) { degradations.push_back(step); };
-
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
-  ChunkAggregator agg(workload_.cube);
-  Result<std::vector<GroupByResult>> views =
-      agg.ComputeOutOfCore(masks_, order_, &disk, options);
-  ASSERT_TRUE(views.ok()) << views.status().ToString();
-  const MetricsRegistry::Snapshot delta =
-      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
-
-  for (size_t i = 0; i < masks_.size(); ++i) {
-    EXPECT_TRUE((*views)[i] == oracle_[i]) << "mask " << i;
-  }
-  ASSERT_FALSE(degradations.empty());
-  EXPECT_EQ(degradations[0], "sync_io");
-  EXPECT_GE(delta.counter_value("agg.outofcore.sync_fallbacks"), 1);
-}
-
-TEST_F(OutOfCoreLadderTest, PersistentExhaustionSurfacesTheError) {
+TEST_F(OutOfCoreStreamTest, PersistentExhaustionSurfacesTheError) {
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
   env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kResourceExhausted,
                   FaultInjectingEnv::kForever);
 
-  ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 4;
-  options.pipeline.io_threads = 1;
   ChunkAggregator agg(workload_.cube);
   Result<std::vector<GroupByResult>> views =
-      agg.ComputeOutOfCore(masks_, order_, &disk, options);
-  // Every rung failed (sync included): the ladder is exhausted and the
-  // error surfaces instead of looping forever.
+      agg.ComputeOutOfCore(masks_, order_, &disk);
+  // The retries are spent: the error surfaces instead of looping forever.
   EXPECT_EQ(views.status().code(), StatusCode::kResourceExhausted);
 }
 
-// ---- mid-prefetch cancellation -------------------------------------------
-
-TEST_F(OutOfCoreLadderTest, MidPrefetchCancelReleasesEveryPin) {
-  // Reads flow through a FaultInjectingEnv (the acceptance scenario:
-  // cancellation mid-prefetch with the fault harness in the I/O path). One
-  // transient fault is pending but the cancel must win the race — whichever
-  // the pipeline observes first, the cancelled call's contract holds.
+TEST_F(OutOfCoreStreamTest, MidStreamCancelReturnsPromptlyAndKeepsTheDisk) {
+  // Reads flow through the fault harness, as in the fault cases above.
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
-  std::vector<ChunkId> schedule;
+  // Both ends of the id range alternately: two ranged reads per window.
+  std::vector<ChunkId> stored;
   workload_.cube.ForEachChunk(
-      [&](ChunkId id, const Chunk&) { schedule.push_back(id); });
-  ASSERT_GT(schedule.size(), 4u);
-
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Gauge* pinned = reg.gauge("pipeline.pinned_chunks");
-  const int64_t pinned_before = pinned->value();
+      [&](ChunkId id, const Chunk&) { stored.push_back(id); });
+  ASSERT_GT(stored.size(), 4u);
+  std::vector<ChunkId> schedule;
+  const size_t half = stored.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    schedule.push_back(stored[i]);
+    schedule.push_back(stored[stored.size() - 1 - i]);
+  }
 
   CancellationSource source;
-  ChunkPipelineOptions options;
-  options.lookahead = 8;
-  options.io_threads = 1;  // FaultInjectingEnv is not thread-safe.
-  options.cancel = source.token();
-  {
-    ChunkPipeline pipeline(&disk, schedule, options);
-    for (int i = 0; i < 2; ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-    }
-    source.RequestCancel();
-    const auto start = std::chrono::steady_clock::now();
-    Result<ChunkPipeline::Pin> pin = pipeline.Next();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_EQ(pin.status().code(), StatusCode::kCancelled);
-    // Acceptance bound: the cancelled call returns within 100ms.
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                  .count(),
-              100);
-    // The closed pipeline keeps refusing work.
-    EXPECT_FALSE(pipeline.Next().ok());
-  }
-  // Destructor drained in-flight fetches and returned every pin.
-  EXPECT_EQ(pinned->value(), pinned_before);
+  std::chrono::steady_clock::time_point cancelled_at;
+  int delivered = 0;
+  const Status status = disk.ReadSchedule(
+      schedule,
+      [&](ChunkId, const Chunk&) {
+        if (++delivered == 2) {
+          source.RequestCancel();
+          cancelled_at = std::chrono::steady_clock::now();
+        }
+      },
+      source.token());
+  const auto elapsed = std::chrono::steady_clock::now() - cancelled_at;
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
+  EXPECT_LT(delivered, static_cast<int>(schedule.size()));
+  // Acceptance bound: the cancelled stream returns within 100ms.
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+      100);
 
-  // The disk is immediately reusable for an uncancelled pipeline.
-  ChunkPipelineOptions clean;
-  clean.lookahead = 8;
-  clean.io_threads = 1;
-  ChunkPipeline pipeline(&disk, schedule, clean);
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    Result<ChunkPipeline::Pin> pin = pipeline.Next();
-    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-    EXPECT_EQ(pin->id(), schedule[i]);
-  }
-  EXPECT_EQ(pinned->value(), pinned_before);
+  // The disk is immediately reusable for an uncancelled stream.
+  size_t next = 0;
+  const Status again = disk.ReadSchedule(
+      schedule, [&](ChunkId id, const Chunk&) {
+        EXPECT_EQ(id, schedule[next]);
+        ++next;
+      });
+  EXPECT_TRUE(again.ok()) << again.ToString();
+  EXPECT_EQ(next, schedule.size());
 }
 
 }  // namespace

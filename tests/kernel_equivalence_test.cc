@@ -15,7 +15,6 @@
 
 #include "agg/chunk_aggregator.h"
 #include "common/rng.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/cube_io.h"
 #include "storage/env.h"
 #include "storage/simulated_disk.h"
@@ -337,10 +336,10 @@ TEST(KernelEquivalenceTest, PerspectiveCubeIsThreadCountInvariant) {
   }
 }
 
-// Out-of-core streaming: the async ChunkPipeline must deliver fuzz cubes'
-// chunks bit-identically to a synchronous FetchChunk loop over the same
-// schedule, at every io_threads setting, whatever the (random) tiling and
-// sparsity of the stored chunk set.
+// Out-of-core streaming: the coalescing schedule walk
+// (SimulatedDisk::ReadSchedule) must deliver fuzz cubes' chunks
+// bit-identically to a per-entry FetchChunk loop over the same schedule,
+// whatever the (random) tiling and sparsity of the stored chunk set.
 TEST(KernelEquivalenceTest, PipelineStreamsFuzzCubesBitIdentically) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     FuzzWorld world = BuildFuzzWorld(seed + 5000);
@@ -376,7 +375,7 @@ TEST(KernelEquivalenceTest, PipelineStreamsFuzzCubesBitIdentically) {
     model.max_seek_seconds = 1e-3;
     model.transfer_seconds = 1e-4;
 
-    // Synchronous oracle: per-schedule-entry FetchChunk.
+    // Per-entry reference: FetchChunk per schedule entry.
     std::vector<Chunk> expected;
     {
       SimulatedDisk disk(model, /*cache_capacity_chunks=*/0);
@@ -388,31 +387,22 @@ TEST(KernelEquivalenceTest, PipelineStreamsFuzzCubesBitIdentically) {
       }
     }
 
-    for (int threads : kThreadCounts) {
-      SimulatedDisk disk(model, /*cache_capacity_chunks=*/0);
-      ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
-      ChunkPipelineOptions options;
-      options.lookahead = 8;
-      options.io_threads = threads;
-      ChunkPipeline pipeline(&disk, schedule, options);
-      for (size_t i = 0; i < schedule.size(); ++i) {
-        Result<ChunkPipeline::Pin> pin = pipeline.Next();
-        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-        ASSERT_EQ(pin->id(), schedule[i])
-            << "seed " << seed << " threads " << threads << " entry " << i;
-        const Chunk& got = pin->chunk();
-        ASSERT_EQ(expected[i].size(), got.size());
-        for (int64_t off = 0; off < got.size(); ++off) {
-          ASSERT_EQ(BitsOf(expected[i].Get(off)), BitsOf(got.Get(off)))
-              << "seed " << seed << " threads " << threads << " entry " << i
-              << " offset " << off;
-        }
-      }
-      EXPECT_TRUE(pipeline.Done());
-      EXPECT_EQ(pipeline.Next().status().code(), StatusCode::kOutOfRange);
-      EXPECT_EQ(pipeline.stats().chunks_delivered,
-                static_cast<int64_t>(schedule.size()));
-    }
+    SimulatedDisk disk(model, /*cache_capacity_chunks=*/0);
+    ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
+    size_t i = 0;
+    const Status status =
+        disk.ReadSchedule(schedule, [&](ChunkId id, const Chunk& got) {
+          ASSERT_LT(i, schedule.size());
+          ASSERT_EQ(id, schedule[i]) << "seed " << seed << " entry " << i;
+          ASSERT_EQ(expected[i].size(), got.size());
+          for (int64_t off = 0; off < got.size(); ++off) {
+            ASSERT_EQ(BitsOf(expected[i].Get(off)), BitsOf(got.Get(off)))
+                << "seed " << seed << " entry " << i << " offset " << off;
+          }
+          ++i;
+        });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(i, schedule.size()) << "seed " << seed;
     std::remove(path.c_str());
   }
 }

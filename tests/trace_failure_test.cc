@@ -11,7 +11,6 @@
 
 #include "common/trace.h"
 #include "engine/executor.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/cube_io.h"
 #include "storage/fault_env.h"
 #include "storage/simulated_disk.h"
@@ -125,45 +124,34 @@ TEST_F(TraceFailureTest, FailedQueryClosesTheWholeTree) {
   EXPECT_EQ(data.CountOf("query.evaluate"), 0);
 }
 
-TEST_F(TraceFailureTest, FaultMidPrefetchClosesFetchBatchSpansWithError) {
+TEST_F(TraceFailureTest, FaultMidStreamClosesFetchRunSpansWithError) {
   PaperExample ex = BuildPaperExample();
-  const std::string path = TempPath("trace_failure_prefetch.olap");
+  const std::string path = TempPath("trace_failure_stream.olap");
   ASSERT_TRUE(SaveCube(ex.cube, path).ok());
+
+  std::vector<ChunkId> schedule;
+  ex.cube.ForEachChunk(
+      [&](ChunkId id, const Chunk&) { schedule.push_back(id); });
+  ASSERT_GE(schedule.size(), 2u);
 
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(DiskModel{}, 0);
-  // Attach through the healthy env (indexing must succeed), then make every
-  // subsequent data read fail: the fault lands mid-prefetch, on a pool
-  // worker inside a pipeline.fetch_batch span.
+  // Attach through the healthy env (indexing must succeed), then let the
+  // first ranged read through and fail every later one: the fault lands
+  // mid-stream, inside a disk.fetch_run span, after chunks were delivered.
   ASSERT_TRUE(disk.AttachBackingFile(&env, path).ok());
-  env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kUnavailable,
+  env.InjectError(FaultOp::kRead, /*skip=*/1, StatusCode::kUnavailable,
                   FaultInjectingEnv::kForever);
 
-  std::vector<ChunkId> schedule;
-  ex.cube.ForEachChunk([&](ChunkId id, const Chunk&) { schedule.push_back(id); });
-  ASSERT_FALSE(schedule.empty());
-
-  ChunkPipelineOptions options;
-  options.lookahead = 4;
-  // FaultInjectingEnv's fault table is not thread-safe; one batch in flight
-  // keeps all env access sequential.
-  options.io_threads = 1;
-
   ASSERT_TRUE(TraceCollector::Enable());
-  Status failure = Status::Ok();
-  {
-    ChunkPipeline pipeline(&disk, schedule, options);
-    for (size_t i = 0; i < schedule.size(); ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      if (!pin.ok()) {
-        failure = pin.status();
-        break;
-      }
-    }
-  }  // Destructor drains outstanding batches before the trace is read.
+  int delivered = 0;
+  const Status failure = disk.ReadSchedule(
+      schedule, [&](ChunkId, const Chunk&) { ++delivered; });
   EXPECT_EQ(failure.code(), StatusCode::kUnavailable) << failure.ToString();
-  ExpectClosedErrorTree(TraceCollector::DisableAndDrain(),
-                        "pipeline.fetch_batch", "");
+  EXPECT_GT(delivered, 0);
+  EXPECT_LT(delivered, static_cast<int>(schedule.size()));
+  ExpectClosedErrorTree(TraceCollector::DisableAndDrain(), "disk.fetch_run",
+                        "");
   std::remove(path.c_str());
 }
 
