@@ -611,60 +611,6 @@ KernelMicroReport RunKernelMicro(bool smoke) {
   return report;
 }
 
-// Cube::GetCell single-entry chunk memo: a sequential coordinate scan hits
-// the same chunk for long runs, so the memo skips the std::map lookup.
-struct MemoReport {
-  double uncached_ms = 0.0;
-  double memo_ms = 0.0;
-};
-
-MemoReport RunGetCellMemo(bool smoke) {
-  WorkforceConfig config;
-  config.num_departments = smoke ? 10 : 51;
-  config.num_employees = smoke ? 200 : 2025;
-  config.num_changing = smoke ? 30 : 250;
-  config.num_measures = smoke ? 4 : 10;
-  config.num_scenarios = smoke ? 2 : 5;
-  config.seed = 20080407;
-  WorkforceCube wf = BuildWorkforceCube(config);
-  const Cube& cube = wf.cube;
-  const std::vector<int>& extents = cube.layout().extents();
-  const int n = cube.num_dims();
-
-  // Row-major scan (last dimension fastest — the memo's best case, matching
-  // chunk-local storage order) summing every addressable cell.
-  auto scan = [&](auto&& get) {
-    std::vector<int> coords(n, 0);
-    CellValue sum;
-    while (true) {
-      sum += get(coords);
-      int d = n - 1;
-      while (d >= 0) {
-        if (++coords[d] < extents[d]) break;
-        coords[d] = 0;
-        --d;
-      }
-      if (d < 0) break;
-    }
-    return sum;
-  };
-
-  MemoReport report;
-  const int reps = smoke ? 3 : 5;
-  report.uncached_ms = BestOfMs(reps, [&] {
-    CellValue v = scan([&](const std::vector<int>& c) {
-      return cube.GetCellUncached(c);
-    });
-    if (v.is_null() && cube.CountNonNullCells() > 0) abort();
-  });
-  report.memo_ms = BestOfMs(reps, [&] {
-    CellValue v =
-        scan([&](const std::vector<int>& c) { return cube.GetCell(c); });
-    if (v.is_null() && cube.CountNonNullCells() > 0) abort();
-  });
-  return report;
-}
-
 // --profile: the instrumentation-overhead experiment. The Fig. 12 Relocate
 // (the acceptance workload) runs best-of-reps with tracing disabled, then
 // again inside a tracing session, at 1 and 4 threads. The enabled run's
@@ -822,7 +768,7 @@ GovernorReport RunGovernorOverhead(bool smoke) {
 }
 
 void WriteJson(FILE* f, const std::vector<WorkloadReport>& reports,
-               const KernelMicroReport& micro, const MemoReport& memo,
+               const KernelMicroReport& micro,
                const GovernorReport& governor, bool smoke) {
   fprintf(f, "{\n");
   fprintf(f, "  \"bench\": \"bench_kernels\",\n");
@@ -844,10 +790,6 @@ void WriteJson(FILE* f, const std::vector<WorkloadReport>& reports,
   fprintf(f, "  \"hardware_concurrency\": %u,\n",
           std::max(1u, std::thread::hardware_concurrency()));
   fprintf(f, "  \"affinity_cores\": %d,\n", ThreadPool::AffinityVisibleCores());
-  fprintf(f, "  \"getcell_memo\": {\"uncached_ms\": %.4f, \"memo_ms\": %.4f, "
-          "\"speedup\": %.2f},\n",
-          memo.uncached_ms, memo.memo_ms,
-          memo.memo_ms > 0 ? memo.uncached_ms / memo.memo_ms : 0.0);
   fprintf(f, "  \"governor_overhead\": {\"limit\": %.2f, ",
           kGovernorOverheadLimit);
   for (const char* key : {"off_ms", "on_ms"}) {
@@ -961,17 +903,16 @@ int Main(int argc, char** argv) {
   reports.push_back(RunSplit(smoke));
   reports.push_back(RunRollup(smoke));
   KernelMicroReport micro = RunKernelMicro(smoke);
-  MemoReport memo = RunGetCellMemo(smoke);
   GovernorReport governor = RunGovernorOverhead(smoke);
 
-  WriteJson(stdout, reports, micro, memo, governor, smoke);
+  WriteJson(stdout, reports, micro, governor, smoke);
   if (!out_path.empty()) {
     FILE* f = std::fopen(out_path.c_str(), "w");
     if (f == nullptr) {
       fprintf(stderr, "cannot open %s\n", out_path.c_str());
       return 2;
     }
-    WriteJson(f, reports, micro, memo, governor, smoke);
+    WriteJson(f, reports, micro, governor, smoke);
     std::fclose(f);
   }
 

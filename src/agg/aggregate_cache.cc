@@ -8,12 +8,9 @@ namespace olap {
 
 namespace {
 
-// Cache accounting contract (asserted by the stats contract suite):
-// lookups == hits + misses, always.
+// Residency accounting; serving (agg.cache.lookups/hits/misses) is
+// counted by BatchCellEvaluator, the only code that sums views.
 struct CacheMetrics {
-  Counter* lookups;
-  Counter* hits;
-  Counter* misses;
   Counter* evictions;
   Counter* views_kept;
   Counter* views_dropped;
@@ -21,10 +18,7 @@ struct CacheMetrics {
   static const CacheMetrics& Get() {
     static CacheMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Global();
-      return CacheMetrics{reg.counter("agg.cache.lookups"),
-                          reg.counter("agg.cache.hits"),
-                          reg.counter("agg.cache.misses"),
-                          reg.counter("cache.evictions"),
+      return CacheMetrics{reg.counter("cache.evictions"),
                           reg.counter("cache.invalidate.views_kept"),
                           reg.counter("cache.invalidate.views_dropped")};
     }();
@@ -78,24 +72,6 @@ void SweepZeroCounts(const ChunkLayout& layout, ChunkId id,
 
 }  // namespace
 
-// True when the root's weighted scope of dimension `dim` covers every axis
-// position exactly once with weight 1.0 — the condition under which a view
-// that summed the dimension away (all positions, weight 1) agrees with the
-// root roll-up.
-bool RootScopeIsUnitCover(const Cube& cube, int dim) {
-  const int extent = cube.layout().extents()[dim];
-  const AxisRef root = AxisRef::OfMember(cube.schema().dimension(dim).root());
-  std::vector<std::pair<int, double>> scope =
-      cube.PositionsUnderWeighted(dim, root);
-  if (static_cast<int>(scope.size()) != extent) return false;
-  std::vector<char> seen(extent, 0);
-  for (const auto& [pos, weight] : scope) {
-    if (weight != 1.0 || pos < 0 || pos >= extent || seen[pos]) return false;
-    seen[pos] = 1;
-  }
-  return true;
-}
-
 AggregateCache::AggregateCache(const Cube& cube,
                                const std::vector<GroupByMask>& masks,
                                int threads, const CancellationToken& cancel)
@@ -104,10 +80,6 @@ AggregateCache::AggregateCache(const Cube& cube,
   std::vector<int> order(cube.num_dims());
   std::iota(order.begin(), order.end(), 0);
   views_ = aggregator.Compute(masks_, order, /*disk=*/nullptr, threads, cancel);
-  root_droppable_.resize(cube.num_dims());
-  for (int d = 0; d < cube.num_dims(); ++d) {
-    root_droppable_[d] = RootScopeIsUnitCover(cube, d) ? 1 : 0;
-  }
   resident_.assign(views_.size(), 1);
   last_use_ = std::make_unique<std::atomic<int64_t>[]>(views_.size());
 }
@@ -135,10 +107,6 @@ AggregateCache::AggregateCache(const Cube& cube,
     // The in-memory pass is always available and value-equivalent.
     views_ = aggregator.Compute(masks_, order, /*disk=*/nullptr, threads,
                                 cancel);
-  }
-  root_droppable_.resize(cube.num_dims());
-  for (int d = 0; d < cube.num_dims(); ++d) {
-    root_droppable_[d] = RootScopeIsUnitCover(cube, d) ? 1 : 0;
   }
   resident_.assign(views_.size(), 1);
   last_use_ = std::make_unique<std::atomic<int64_t>[]>(views_.size());
@@ -298,70 +266,6 @@ void AggregateCache::EnforceCapacity() {
     resident_[victim] = 0;
     CacheMetrics::Get().evictions->Increment();
   }
-}
-
-std::optional<CellValue> AggregateCache::TryAnswer(const Cube& cube,
-                                                   const CellRef& ref) const {
-  CacheMetrics::Get().lookups->Increment();
-  // Dimensions a view must keep: anything the ref restricts (not the root),
-  // plus root dimensions whose consolidation weights make the view's plain
-  // dropped-dimension sum differ from the root roll-up.
-  GroupByMask needed = 0;
-  for (int d = 0; d < cube.num_dims(); ++d) {
-    if (ref[d].instance != kInvalidInstance ||
-        ref[d].member != cube.schema().dimension(d).root() ||
-        !root_droppable(d)) {
-      needed |= GroupByMask{1} << d;
-    }
-  }
-  const GroupByResult* covering = SmallestCovering(needed);
-  if (covering == nullptr) {
-    ++misses;
-    CacheMetrics::Get().misses->Increment();
-    return std::nullopt;
-  }
-  const GroupByResult& view = *covering;
-
-  // Sum the view over the cross product of the ref's weighted position
-  // scopes along the view's kept dimensions (consolidation weights apply
-  // at answer time; the views themselves are plain position sums).
-  const std::vector<int>& kept = view.kept_dims();
-  std::vector<std::vector<std::pair<int, double>>> positions(kept.size());
-  for (size_t i = 0; i < kept.size(); ++i) {
-    positions[i] = cube.PositionsUnderWeighted(kept[i], ref[kept[i]]);
-    if (positions[i].empty()) {
-      ++hits;
-      CacheMetrics::Get().hits->Increment();
-      return CellValue::Null();
-    }
-  }
-  CellValue sum;
-  const std::vector<int64_t>& strides = view.strides();
-  const double* cells = view.raw_cells();  // Sentinel-encoded, no round-trip.
-  std::vector<int> idx(kept.size(), 0);
-  while (true) {
-    double weight = 1.0;
-    int64_t index = 0;
-    for (size_t i = 0; i < kept.size(); ++i) {
-      index += positions[i][idx[i]].first * strides[i];
-      weight *= positions[i][idx[i]].second;
-    }
-    const double v = cells[index];
-    if (!CellValue::IsStorageNull(v)) sum += CellValue(v * weight);
-    size_t d = kept.size();
-    bool done = true;
-    while (d-- > 0) {
-      if (++idx[d] < static_cast<int>(positions[d].size())) {
-        done = false;
-        break;
-      }
-      idx[d] = 0;
-    }
-    if (kept.empty() || done) break;
-  }
-  ++hits;
-  CacheMetrics::Get().hits->Increment();
-  return sum;
 }
 
 }  // namespace olap

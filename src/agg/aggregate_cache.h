@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "agg/chunk_aggregator.h"
@@ -48,11 +47,13 @@ struct CacheKey {
 // coordinates are each either (a) the dimension root or (b) any member
 // scope can be answered by summing the smallest materialized view that
 // keeps every restricted dimension — usually orders of magnitude fewer
-// cells than the leaf scan.
+// cells than the leaf scan. The cache only holds and maintains views;
+// BatchCellEvaluator (agg/batch_eval.h) is the one code path that sums
+// them, for persistent and per-query scratch caches alike.
 //
-// The cache answers queries against the cube it was built from; what-if
-// transformations produce different cubes, so the engine bypasses the
-// cache for what-if queries.
+// The views describe the cube they were built from; what-if
+// transformations produce different cubes, so the engine serves a
+// persistent cache only where derived cells evaluate on the stored cube.
 class AggregateCache {
  public:
   // Materializes the given group-bys of `cube` in one chunk pass.
@@ -85,7 +86,6 @@ class AggregateCache {
         misses(other.misses.load()),
         masks_(std::move(other.masks_)),
         views_(std::move(other.views_)),
-        root_droppable_(std::move(other.root_droppable_)),
         resident_(std::move(other.resident_)),
         counts_(std::move(other.counts_)),
         incremental_(other.incremental_),
@@ -150,28 +150,17 @@ class AggregateCache {
   // unbounded, the default), evicting least-recently-served views first
   // (ties: the costlier view — more cells — goes first) until under the
   // bound. Eviction is counted by cache.evictions. Call from a quiesce
-  // point: concurrent TryAnswer readers may still hold pointers into a
+  // point: concurrent evaluator readers may still hold pointers into a
   // view being evicted.
   void SetCapacity(int64_t max_cells);
   int64_t capacity_cells() const { return capacity_cells_; }
-
-  // A view may drop dimension d only when summing it in full with unit
-  // weights equals the root roll-up: the root's weighted scope must cover
-  // every axis position exactly once with weight 1.0. Precomputed at build
-  // time; dimensions failing this stay in every ref's needed mask.
-  bool root_droppable(int dim) const { return root_droppable_[dim] != 0; }
 
   // The smallest materialized view whose mask keeps every dimension of
   // `needed`, or nullptr when none covers it.
   const GroupByResult* SmallestCovering(GroupByMask needed) const;
 
-  // Answers `ref` from the smallest covering view, or nullopt when no
-  // materialized view keeps every dimension the ref restricts. `cube` must
-  // be the cube the cache was built from (used for scope resolution).
-  std::optional<CellValue> TryAnswer(const Cube& cube, const CellRef& ref) const;
-
-  // How many answers were served / declined (for tests and benches).
-  // Atomic: TryAnswer may run from several evaluation threads.
+  // How many answers the evaluator served from / declined on this cache
+  // (for tests and benches). Atomic: evaluation may run on several threads.
   mutable std::atomic<int64_t> hits{0};
   mutable std::atomic<int64_t> misses{0};
 
@@ -183,8 +172,7 @@ class AggregateCache {
 
   std::vector<GroupByMask> masks_;
   std::vector<GroupByResult> views_;
-  std::vector<char> root_droppable_;  // Per dimension; see root_droppable().
-  std::vector<char> resident_;        // Per view; see view_resident().
+  std::vector<char> resident_;  // Per view; see view_resident().
   // Per view, per cell: number of non-⊥ input cells contributing. Empty
   // until EnableIncrementalMaintenance; evicted views clear theirs.
   std::vector<std::vector<int32_t>> counts_;
@@ -192,15 +180,10 @@ class AggregateCache {
   CacheKey key_;
   int64_t capacity_cells_ = -1;  // < 0: unbounded.
   // Per view: use_tick_ value at last serve. Atomic array (not vector):
-  // TryAnswer bumps these from several evaluation threads.
+  // SmallestCovering bumps these from several evaluation threads.
   std::unique_ptr<std::atomic<int64_t>[]> last_use_;
   mutable std::atomic<int64_t> use_tick_{0};
 };
-
-// The droppability condition behind AggregateCache::root_droppable: true
-// when the root's weighted scope of `dim` covers every axis position
-// exactly once with weight 1.0. Shared with the batched evaluator.
-bool RootScopeIsUnitCover(const Cube& cube, int dim);
 
 }  // namespace olap
 

@@ -39,23 +39,43 @@ struct BatchMetrics {
   }
 };
 
-// Shares the counter names (and the lookups == hits + misses closure) with
-// AggregateCache::TryAnswer.
-struct SharedCacheMetrics {
+// Cache serving accounting (asserted by the stats contract suite):
+// lookups == hits + misses, always. Leaf refs are direct reads, never
+// lookups; the counters move only when a persistent or scratch cache is
+// present.
+struct CacheMetrics {
   Counter* lookups;
   Counter* hits;
   Counter* misses;
 
-  static const SharedCacheMetrics& Get() {
-    static SharedCacheMetrics m = [] {
+  static const CacheMetrics& Get() {
+    static CacheMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Global();
-      return SharedCacheMetrics{reg.counter("agg.cache.lookups"),
-                                reg.counter("agg.cache.hits"),
-                                reg.counter("agg.cache.misses")};
+      return CacheMetrics{reg.counter("agg.cache.lookups"),
+                          reg.counter("agg.cache.hits"),
+                          reg.counter("agg.cache.misses")};
     }();
     return m;
   }
 };
+
+// True when the root's weighted scope of dimension `dim` covers every axis
+// position exactly once with weight 1.0 — the condition under which a view
+// that summed the dimension away (all positions, weight 1) agrees with the
+// root roll-up, so a root coordinate there needs no kept dimension.
+bool RootScopeIsUnitCover(const Cube& cube, int dim) {
+  const int extent = cube.layout().extents()[dim];
+  const AxisRef root = AxisRef::OfMember(cube.schema().dimension(dim).root());
+  std::vector<std::pair<int, double>> scope =
+      cube.PositionsUnderWeighted(dim, root);
+  if (static_cast<int>(scope.size()) != extent) return false;
+  std::vector<char> seen(extent, 0);
+  for (const auto& [pos, weight] : scope) {
+    if (weight != 1.0 || pos < 0 || pos >= extent || seen[pos]) return false;
+    seen[pos] = 1;
+  }
+  return true;
+}
 
 uint64_t ScopeKey(const AxisRef& ref) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(ref.member)) << 32) |
@@ -106,9 +126,7 @@ BatchCellEvaluator::BatchCellEvaluator(const Cube& data,
     : data_(data), persistent_(persistent), options_(options) {
   root_droppable_.resize(data_.num_dims());
   for (int d = 0; d < data_.num_dims(); ++d) {
-    root_droppable_[d] = persistent_ != nullptr
-                             ? (persistent_->root_droppable(d) ? 1 : 0)
-                             : (RootScopeIsUnitCover(data_, d) ? 1 : 0);
+    root_droppable_[d] = RootScopeIsUnitCover(data_, d) ? 1 : 0;
   }
   scopes_.resize(data_.num_dims());
 }
@@ -302,8 +320,8 @@ void BatchCellEvaluator::PlanAndMaterialize(
   }
   // Governor budget gate: scratch views are the evaluator's one large
   // optional allocation, so the whole plan is reserved up front. A denial
-  // is the first degradation rung — every ref falls back to the per-cell
-  // path, which needs no scratch memory at all.
+  // is the first degradation rung — refs are served by the persistent
+  // views or the residual leaf roll-up, which need no scratch memory.
   if (options_.try_reserve_cells && !options_.try_reserve_cells(total_cells)) {
     static Counter* denied =
         MetricsRegistry::Global().counter("agg.batch.budget_denied");
@@ -372,12 +390,11 @@ CellValue BatchCellEvaluator::Evaluate(const CellRef& ref) const {
       scratch_.has_value() ? &*scratch_ : persistent_;
   if (empty_scope) {
     // An empty scope along any dimension makes the cell ⊥ (matching
-    // SumOverScopeWeighted); counted as a served answer like TryAnswer's
-    // empty-positions path.
+    // SumOverScopeWeighted); counted as a served answer.
     bm.null_scope->Increment();
     if (accounting != nullptr) {
-      SharedCacheMetrics::Get().lookups->Increment();
-      SharedCacheMetrics::Get().hits->Increment();
+      CacheMetrics::Get().lookups->Increment();
+      CacheMetrics::Get().hits->Increment();
       ++accounting->hits;
     }
     return CellValue::Null();
@@ -404,8 +421,8 @@ CellValue BatchCellEvaluator::Evaluate(const CellRef& ref) const {
     std::vector<const std::vector<std::pair<int, double>>*> scopes(kept.size());
     for (size_t i = 0; i < kept.size(); ++i) scopes[i] = scope_of[kept[i]];
     bm.view_served->Increment();
-    SharedCacheMetrics::Get().lookups->Increment();
-    SharedCacheMetrics::Get().hits->Increment();
+    CacheMetrics::Get().lookups->Increment();
+    CacheMetrics::Get().hits->Increment();
     ++owner->hits;
     return WeightedViewSum(*view, scopes);
   }
@@ -413,8 +430,8 @@ CellValue BatchCellEvaluator::Evaluate(const CellRef& ref) const {
   // Residual: no view covers the needed mask — leaf roll-up.
   bm.residual->Increment();
   if (accounting != nullptr) {
-    SharedCacheMetrics::Get().lookups->Increment();
-    SharedCacheMetrics::Get().misses->Increment();
+    CacheMetrics::Get().lookups->Increment();
+    CacheMetrics::Get().misses->Increment();
     ++accounting->misses;
   }
   std::vector<std::vector<std::pair<int, double>>> positions(n);

@@ -17,8 +17,9 @@
 namespace olap {
 
 // Batched cover-view evaluation of derived cells (the paper's Sec. 5
-// strategy applied to result grids): instead of re-scanning overlapping
-// leaf scopes once per grid cell, the evaluator
+// strategy applied to result grids), and the one code path that serves
+// cells from materialized views, persistent or scratch: instead of
+// re-scanning overlapping leaf scopes once per grid cell, the evaluator
 //
 //  1. collects the needed-dimension mask of every derived CellRef the grid
 //     will evaluate (PrepareGrid / PrepareRefs),
@@ -65,9 +66,10 @@ struct BatchEvalOptions {
   // Memory-accountant hooks, wired by the engine to the query's governor
   // (all may be empty). try_reserve_cells(total_view_cells) is asked
   // before scratch materialization; a denial skips the whole scratch plan
-  // — refs fall back to per-cell evaluation — and is reported through
-  // on_degrade (the governor's batched_eval_off rung). The reservation is
-  // returned via release_cells when the evaluator dies.
+  // — refs are then served by the persistent views or the residual leaf
+  // roll-up — and is reported through on_degrade (the governor's
+  // batched_eval_off rung). The reservation is returned via release_cells
+  // when the evaluator dies.
   std::function<bool(int64_t)> try_reserve_cells;
   std::function<void(int64_t)> release_cells;
   std::function<void()> on_degrade;

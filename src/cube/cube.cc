@@ -16,50 +16,7 @@ Cube::Cube(Schema schema, const CubeOptions& options) : schema_(std::move(schema
   layout_ = ChunkLayout(std::move(extents), std::move(sizes));
 }
 
-Cube::Cube(const Cube& other)
-    : schema_(other.schema_), layout_(other.layout_), chunks_(other.chunks_) {}
-
-Cube& Cube::operator=(const Cube& other) {
-  if (this != &other) {
-    schema_ = other.schema_;
-    layout_ = other.layout_;
-    chunks_ = other.chunks_;
-    last_chunk_.store(nullptr, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-Cube::Cube(Cube&& other) noexcept
-    : schema_(std::move(other.schema_)),
-      layout_(std::move(other.layout_)),
-      chunks_(std::move(other.chunks_)) {
-  other.last_chunk_.store(nullptr, std::memory_order_relaxed);
-}
-
-Cube& Cube::operator=(Cube&& other) noexcept {
-  if (this != &other) {
-    schema_ = std::move(other.schema_);
-    layout_ = std::move(other.layout_);
-    chunks_ = std::move(other.chunks_);
-    last_chunk_.store(nullptr, std::memory_order_relaxed);
-    other.last_chunk_.store(nullptr, std::memory_order_relaxed);
-  }
-  return *this;
-}
-
 CellValue Cube::GetCell(const std::vector<int>& coords) const {
-  const ChunkId id = layout_.ChunkOf(coords);
-  const ChunkNode* memo = last_chunk_.load(std::memory_order_acquire);
-  if (memo != nullptr && memo->first == id) {
-    return memo->second.Get(layout_.OffsetInChunk(coords));
-  }
-  auto it = chunks_.find(id);
-  if (it == chunks_.end()) return CellValue::Null();
-  last_chunk_.store(&*it, std::memory_order_release);
-  return it->second.Get(layout_.OffsetInChunk(coords));
-}
-
-CellValue Cube::GetCellUncached(const std::vector<int>& coords) const {
   const Chunk* chunk = FindChunk(layout_.ChunkOf(coords));
   if (chunk == nullptr) return CellValue::Null();
   return chunk->Get(layout_.OffsetInChunk(coords));
@@ -233,14 +190,10 @@ void Cube::AdoptChunk(ChunkId id, Chunk&& chunk) {
 
 void Cube::ReplaceChunk(ChunkId id, Chunk&& chunk) {
   assert(chunk.size() == layout_.cells_per_chunk());
-  last_chunk_.store(nullptr, std::memory_order_release);
   chunks_.insert_or_assign(id, std::move(chunk));
 }
 
-void Cube::EraseChunk(ChunkId id) {
-  last_chunk_.store(nullptr, std::memory_order_release);
-  chunks_.erase(id);
-}
+void Cube::EraseChunk(ChunkId id) { chunks_.erase(id); }
 
 void Cube::AdoptChunks(std::map<ChunkId, Chunk>&& m) {
 #ifndef NDEBUG

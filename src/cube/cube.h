@@ -1,7 +1,6 @@
 #ifndef OLAP_CUBE_CUBE_H_
 #define OLAP_CUBE_CUBE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -58,12 +57,6 @@ class Cube {
   Cube() = default;
   Cube(Schema schema, const CubeOptions& options = CubeOptions());
 
-  // Value semantics; the GetCell chunk memo is per-object and never carried
-  // across copies/moves (it points into this cube's own chunk map).
-  Cube(const Cube& other);
-  Cube& operator=(const Cube& other);
-  Cube(Cube&& other) noexcept;
-  Cube& operator=(Cube&& other) noexcept;
 
   const Schema& schema() const { return schema_; }
   Schema* mutable_schema() { return &schema_; }
@@ -73,14 +66,8 @@ class Cube {
   // --- Leaf-cell access (by position coordinates) -----------------------
 
   // `coords[d]` is an axis position of dimension d (instance index for a
-  // varying dimension, leaf ordinal otherwise). GetCell memoizes the last
-  // chunk it touched (scope enumeration walks positions in order, so
-  // consecutive reads overwhelmingly land in the same chunk); the memo is a
-  // single atomic pointer, safe under concurrent read-only evaluation.
+  // varying dimension, leaf ordinal otherwise).
   CellValue GetCell(const std::vector<int>& coords) const;
-  // GetCell without the last-chunk memo (always a map lookup). Baseline for
-  // the memo microbench; results are identical to GetCell.
-  CellValue GetCellUncached(const std::vector<int>& coords) const;
   void SetCell(const std::vector<int>& coords, CellValue v);
 
   // --- Leaf-cell access (by member names, for tests/examples) ------------
@@ -139,13 +126,11 @@ class Cube {
   void AdoptChunks(std::map<ChunkId, Chunk>&& m);
 
   // Swaps in a fully built chunk under `id`, creating it when absent. Used
-  // by delta refresh to patch an affected chunk in place; resets the
-  // GetCell memo, whose node pointer may otherwise keep serving the
-  // replaced bytes (or dangle after EraseChunk below).
+  // by delta refresh to patch an affected chunk in place.
   void ReplaceChunk(ChunkId id, Chunk&& chunk);
 
   // Drops the chunk stored under `id` (no-op when absent); every cell of
-  // that chunk reads ⊥ afterwards. Resets the GetCell memo.
+  // that chunk reads ⊥ afterwards.
   void EraseChunk(ChunkId id);
 
   // Iterates stored chunks in ascending chunk-id order.
@@ -188,18 +173,11 @@ class Cube {
   void ClearSlice(int dim, int pos);
 
  private:
-  using ChunkNode = std::pair<const ChunkId, Chunk>;
-
   Status ResolveOneCoord(int dim, const std::string& path_name, int* out) const;
 
   Schema schema_;
   ChunkLayout layout_;
   std::map<ChunkId, Chunk> chunks_;  // Ordered => deterministic iteration.
-  // Last chunk-map node GetCell resolved. Node pointers stay valid until
-  // the node itself is erased or its chunk replaced, so every mutation
-  // that can invalidate the node — copy/move, ReplaceChunk, EraseChunk —
-  // resets the memo.
-  mutable std::atomic<const ChunkNode*> last_chunk_{nullptr};
 };
 
 }  // namespace olap

@@ -98,16 +98,22 @@ void ApplyAutoScope(const BoundQuery& bound, const Cube& cube,
   if (spec->mode != EvalMode::kNonVisual || spec->varying_dim < 0) return;
   const Dimension& vd = cube.schema().dimension(spec->varying_dim);
   std::set<MemberId> members;
-  bool aggregates_varying = false;
+  bool unscoped = false;
   bool mentions_varying = false;
   auto inspect = [&](const BoundTuple& t) {
     for (const auto& [dim, ref] : t.refs) {
       if (dim != spec->varying_dim) continue;
       mentions_varying = true;
-      if (ref.instance != kInvalidInstance || vd.member(ref.member).is_leaf()) {
+      if (ref.member < 0 || ref.member >= vd.num_members()) {
+        // An INTRODUCE'd member: the stored dimension cannot say whether
+        // it aggregates, so the merge stays unscoped (scoping only saves
+        // work; results are the same either way).
+        unscoped = true;
+      } else if (ref.instance != kInvalidInstance ||
+                 vd.member(ref.member).is_leaf()) {
         members.insert(ref.member);
       } else {
-        aggregates_varying = true;
+        unscoped = true;  // Aggregates over the varying dimension.
       }
     }
   };
@@ -115,7 +121,7 @@ void ApplyAutoScope(const BoundQuery& bound, const Cube& cube,
     for (const BoundTuple& t : axis.tuples) inspect(t);
   }
   inspect(bound.slicer);
-  if (!mentions_varying || aggregates_varying) return;
+  if (!mentions_varying || unscoped) return;
   spec->scope_members.assign(members.begin(), members.end());
   // Changed members must stay in scope for Split to take effect.
   for (const ChangeTuple& c : spec->changes) {
@@ -123,6 +129,132 @@ void ApplyAutoScope(const BoundQuery& bound, const Cube& cube,
       spec->scope_members.push_back(c.member);
     }
   }
+}
+
+// One (sub-)query's plan: every decision Execute, ExecuteCompare and
+// Explain share, made once by PlanQuery, so EXPLAIN prints what runs.
+struct QueryPlan {
+  std::string cube_name;
+  const Cube* cube = nullptr;  // The stored cube the FROM clause names.
+  BoundQuery bound;            // Specs carry the Sec. 6.3 merge scope.
+  // The cube's persistent aggregations (null when none are built), and
+  // the same cache when its views serve this query's derived cells.
+  const AggregateCache* aggregates = nullptr;
+  const AggregateCache* serving = nullptr;
+  const char* views_use = "";  // Why `serving` is set or not (EXPLAIN).
+  // Batched scratch views stream from the disk's backing file.
+  bool stream_scratch = false;
+};
+
+// Finds the cube, binds the query and decides how it evaluates. A COMPARE
+// side serves derived cells from the comparison's shared scratch views
+// only, built in memory.
+Result<QueryPlan> PlanQuery(const Database& db, const mdx::ParsedQuery& parsed,
+                            const QueryOptions& options, bool compare_side) {
+  QueryPlan plan;
+  plan.cube_name = Join(parsed.cube_name, ".");
+  Result<const Cube*> cube = db.FindCube(plan.cube_name);
+  if (!cube.ok()) return cube.status();
+  plan.cube = *cube;
+  Result<BoundQuery> bound = [&] {
+    TraceSpan span("query.bind");
+    Result<BoundQuery> r = mdx::Bind(parsed, plan.cube->schema(), &db, *cube);
+    if (!r.ok()) span.SetError(r.status());
+    return r;
+  }();
+  if (!bound.ok()) return bound.status();
+  plan.bound = *std::move(bound);
+  // Single-what-if queries can confine the instance merge (Sec. 6.3).
+  if (plan.bound.specs.size() == 1) {
+    ApplyAutoScope(plan.bound, *plan.cube, &plan.bound.specs[0]);
+  }
+
+  // Derived cells evaluate on the stored cube unless an allocation rewrote
+  // it or a visual what-if evaluates its transformed output; a non-visual
+  // what-if retains derived values from its (stored) input cube.
+  bool stored = plan.bound.allocations.empty();
+  for (const WhatIfSpec& spec : plan.bound.specs) {
+    if (spec.mode == EvalMode::kVisual) stored = false;
+  }
+  plan.aggregates = db.aggregates(plan.cube_name);
+  if (plan.aggregates != nullptr) {
+    // Freshness gate: a cache whose key lags the entry's version or epoch
+    // was built before an unpatched mutation — bypass it rather than serve
+    // stale sums. Edit feeds through Database::ApplyCellEdits patch the
+    // views and bump the key in lockstep, so they pass this gate.
+    const CacheKey current{db.cube_version(plan.cube_name),
+                           /*scenario_fingerprint=*/0,
+                           db.structural_epoch(plan.cube_name)};
+    if (plan.aggregates->key() != current) {
+      plan.views_use = "stale key (bypassed)";
+    } else if (!options.batched_eval) {
+      plan.views_use = "unused (per-cell evaluation)";
+    } else if (compare_side) {
+      plan.views_use = "unused by COMPARE";
+    } else if (!stored) {
+      plan.views_use = "scratch only (transformed cube)";
+    } else {
+      plan.views_use = "serving derived cells";
+      plan.serving = plan.aggregates;
+    }
+  }
+  // Scratch views may stream only when the backing file stores the
+  // evaluation cube itself (a transform lives in memory only).
+  plan.stream_scratch = options.batched_eval && !compare_side && stored &&
+                        options.pipelined_io && options.disk != nullptr &&
+                        options.disk->has_backing();
+  return plan;
+}
+
+// The structural pipeline is one scenario composition: each spec (one per
+// varying dimension) becomes a canonical ScenarioSpec and the algebra
+// applies them in clause order — the single-pass route for one spec, the
+// stage pipeline (visual wins for the combined mode) for several.
+// Bit-identical to calling the operators directly.
+std::vector<ScenarioSpec> ScenariosOf(const BoundQuery& bound) {
+  std::vector<ScenarioSpec> out;
+  out.reserve(bound.specs.size());
+  for (const WhatIfSpec& spec : bound.specs) {
+    out.push_back(ScenarioSpec::FromWhatIf(spec));
+  }
+  return out;
+}
+
+// The what-if read passes' options, shared by ordinary and COMPARE queries.
+ScenarioEvalOptions ScenarioOptionsFor(const QueryOptions& options,
+                                       const CancellationToken& cancel,
+                                       EvalStats* stats) {
+  ScenarioEvalOptions out;
+  out.strategy = options.strategy;
+  out.disk = options.disk;
+  out.stats = stats;
+  out.eval_threads = options.eval_threads;
+  out.pipelined_io = options.pipelined_io && options.disk != nullptr;
+  out.cancel = cancel;
+  return out;
+}
+
+// Batched-evaluation options for one query, ordinary or COMPARE, and the
+// one place scratch views are shed: the reservation hook denies a scratch
+// plan under deadline or memory pressure (or over the budget), and the
+// evaluator's denial branch records batched_eval_off — so the rung is
+// recorded only when a plan was actually shed.
+BatchEvalOptions BatchOptionsFor(const QueryOptions& options,
+                                 const CancellationToken& cancel,
+                                 QueryContext* ctx) {
+  BatchEvalOptions out;
+  out.threads = options.eval_threads;
+  out.cancel = cancel;
+  if (ctx != nullptr) {
+    out.try_reserve_cells = [ctx](int64_t cells) {
+      return !ctx->UnderPressure() && ctx->TryReserveCells(cells);
+    };
+    out.release_cells = [ctx](int64_t cells) { ctx->ReleaseCells(cells); };
+    out.on_degrade = [ctx] {
+      ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
+    };
+  }
+  return out;
 }
 
 }  // namespace
@@ -144,21 +276,14 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     return ExecuteCompare(*parsed, options, ctx);
   }
 
-  std::string cube_name = Join(parsed->cube_name, ".");
-  Result<const Cube*> cube = db_->FindCube(cube_name);
-  if (!cube.ok()) return cube.status();
-  const RuleSet* rules = db_->rules(cube_name);
-
-  Result<BoundQuery> bound = [&] {
-    TraceSpan span("query.bind");
-    Result<BoundQuery> r = mdx::Bind(*parsed, (*cube)->schema(), db_, *cube);
-    if (!r.ok()) span.SetError(r.status());
-    return r;
-  }();
-  if (!bound.ok()) return bound.status();
+  Result<QueryPlan> plan =
+      PlanQuery(*db_, *parsed, options, /*compare_side=*/false);
+  if (!plan.ok()) return plan.status();
   if (ctx != nullptr) {
     if (Status s = ctx->CheckInterrupted("query.bind"); !s.ok()) return s;
   }
+  const BoundQuery* bound = &plan->bound;
+  const RuleSet* rules = db_->rules(plan->cube_name);
 
   // Axis layout: ordinal 0 = columns, 1 = rows, 2 = pages. Pages are
   // rendered by folding them into the rows (one row block per page tuple).
@@ -185,12 +310,11 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
 
   QueryResult result;
   std::optional<PerspectiveCube> pc;
-  std::vector<WhatIfSpec> specs = bound->specs;
 
   // One "query.whatif" phase span covers allocations plus the structural
   // what-if pipeline; closed (reset) before evaluation starts.
   std::optional<TraceSpan> whatif_span;
-  if (!bound->allocations.empty() || !specs.empty()) {
+  if (!bound->allocations.empty() || !bound->specs.empty()) {
     whatif_span.emplace("query.whatif");
   }
   auto whatif_fail = [&](const Status& s) {
@@ -200,7 +324,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
 
   // Data-driven scenarios first: allocations produce the base cube the
   // structural what-if (if any) operates on.
-  const Cube* active = *cube;
+  const Cube* active = plan->cube;
   std::optional<Cube> allocated;
   for (const AllocationSpec& allocation : bound->allocations) {
     Result<Cube> next = Allocate(*active, allocation);
@@ -210,35 +334,10 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     result.used_whatif = true;
   }
 
-  // Out-of-core reads, shared by the what-if read passes and the
-  // batched-eval scratch materialization below.
-  const bool pipelined_io = options.pipelined_io && options.disk != nullptr;
-
-  if (!specs.empty()) {
-    // Single-what-if queries can confine the instance merge (Sec. 6.3).
-    if (specs.size() == 1 && options.auto_scope) {
-      ApplyAutoScope(*bound, **cube, &specs[0]);
-    }
-
-    // The structural pipeline is one scenario composition: each spec (one
-    // per varying dimension) becomes a canonical ScenarioSpec and the
-    // algebra applies them in clause order — the single-pass route for one
-    // spec, the stage pipeline (visual wins for the combined mode) for
-    // several. Bit-identical to calling the operators directly.
-    std::vector<ScenarioSpec> scenarios;
-    scenarios.reserve(specs.size());
-    for (const WhatIfSpec& spec : specs) {
-      scenarios.push_back(ScenarioSpec::FromWhatIf(spec));
-    }
-    ScenarioEvalOptions scenario_options;
-    scenario_options.strategy = options.strategy;
-    scenario_options.disk = options.disk;
-    scenario_options.stats = &result.whatif_stats;
-    scenario_options.eval_threads = options.eval_threads;
-    scenario_options.pipelined_io = pipelined_io;
-    scenario_options.cancel = cancel;
-    Result<PerspectiveCube> computed =
-        ComposeScenarios(*active, scenarios, scenario_options);
+  if (!bound->specs.empty()) {
+    Result<PerspectiveCube> computed = ComposeScenarios(
+        *active, ScenariosOf(*bound),
+        ScenarioOptionsFor(options, cancel, &result.whatif_stats));
     if (!computed.ok()) return whatif_fail(computed.status());
     pc.emplace(*std::move(computed));
     result.used_whatif = true;
@@ -315,69 +414,21 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
 
   // The cube the grid's main evaluation path reads: the perspective output
   // in visual mode, the (retained) input cube in non-visual mode, else the
-  // active cube.
+  // active cube. The plan decided which persistent views serve it.
   const Cube* eval_cube =
       pc.has_value()
           ? (pc->mode() == EvalMode::kVisual ? &pc->output() : &pc->input())
           : active;
-  // Materialized aggregations answer queries over the stored cube only. A
-  // non-visual what-if evaluates derived cells on its *input* cube, which
-  // is the stored cube unless an allocation rewrote it — so non-visual
-  // what-if queries reuse the persistent aggregations; transformed-cube
-  // paths rely on the per-query scratch views below.
-  const AggregateCache* cache =
-      eval_cube == *cube ? db_->aggregates(cube_name) : nullptr;
-  if (cache != nullptr) {
-    if (options.cache_capacity_cells != 0) {
-      // LRU bound, applied before evaluation threads spawn (the cache's
-      // documented quiesce point). Engine-side cache management on a const
-      // catalog — same const_cast idiom as Database's own mutators.
-      const_cast<AggregateCache*>(cache)->SetCapacity(
-          options.cache_capacity_cells < 0 ? -1
-                                           : options.cache_capacity_cells);
-    }
-    // Freshness gate: a cache whose key lags the entry's version or epoch
-    // was built before an unpatched mutation — bypass it rather than serve
-    // stale sums. Edit feeds through Database::ApplyCellEdits patch the
-    // views and bump the key in lockstep, so they pass this gate.
-    const CacheKey current{db_->cube_version(cube_name),
-                           /*scenario_fingerprint=*/0,
-                           db_->structural_epoch(cube_name)};
-    if (cache->key() != current) cache = nullptr;
-  }
 
   // Batched cover-view evaluation: collect the grid's derived-cell masks,
   // materialize the covering subtotal views in one chunk pass, and serve
-  // cells from the smallest covering view.
+  // cells from the smallest covering view, persistent or scratch.
   std::optional<BatchCellEvaluator> batch;
-  if (options.batched_eval && ctx != nullptr && ctx->UnderPressure()) {
-    // First ladder rung: under pressure the scratch-view materialization
-    // (the largest optional allocation of the query) is shed up front and
-    // derived cells take the per-cell path.
-    ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
-  } else if (options.batched_eval) {
+  if (options.batched_eval) {
     TraceSpan prepare_span("query.batch_prepare");
-    BatchEvalOptions batch_options;
-    batch_options.threads = options.eval_threads;
-    batch_options.cancel = cancel;
-    if (ctx != nullptr) {
-      batch_options.try_reserve_cells = [ctx](int64_t cells) {
-        return ctx->TryReserveCells(cells);
-      };
-      batch_options.release_cells = [ctx](int64_t cells) {
-        ctx->ReleaseCells(cells);
-      };
-      batch_options.on_degrade = [ctx] {
-        ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
-      };
-    }
-    // Out-of-core scratch materialization is only sound when the backing
-    // file stores the evaluation cube itself (a what-if transform lives in
-    // memory only, never on the simulated device).
-    if (pipelined_io && options.disk->has_backing() && eval_cube == *cube) {
-      batch_options.out_of_core_disk = options.disk;
-    }
-    batch.emplace(*eval_cube, cache, batch_options);
+    BatchEvalOptions batch_options = BatchOptionsFor(options, cancel, ctx);
+    if (plan->stream_scratch) batch_options.out_of_core_disk = options.disk;
+    batch.emplace(*eval_cube, plan->serving, batch_options);
     std::vector<std::vector<std::pair<int, AxisRef>>> row_over, col_over;
     row_over.reserve(row_tuples.size());
     for (const BoundTuple& t : row_tuples) row_over.push_back(t.refs);
@@ -402,7 +453,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
         for (const auto& [dim, ref] : col_tuples[c].refs) cell_ref[dim] = ref;
         CellValue v = pc.has_value()
                           ? pc->Evaluate(cell_ref, rules, batch_ptr)
-                          : CellEvaluator(*active, rules, cache, batch_ptr)
+                          : CellEvaluator(*active, rules, batch_ptr)
                                 .Evaluate(cell_ref);
         grid.set(r, c, v);
       }
@@ -522,27 +573,20 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   const mdx::ParsedQuery& qa = parsed;
   const mdx::ParsedQuery& qb = *parsed.compare_to;
 
-  std::string cube_name = Join(qa.cube_name, ".");
-  if (Join(qb.cube_name, ".") != cube_name) {
+  if (Join(qb.cube_name, ".") != Join(qa.cube_name, ".")) {
     return Status::InvalidArgument("COMPARE sides must query the same cube");
   }
-  Result<const Cube*> cube = db_->FindCube(cube_name);
-  if (!cube.ok()) return cube.status();
-  const RuleSet* rules = db_->rules(cube_name);
-
-  auto bind_side = [&](const mdx::ParsedQuery& q) {
-    TraceSpan span("query.bind");
-    Result<BoundQuery> r = mdx::Bind(q, (*cube)->schema(), db_, *cube);
-    if (!r.ok()) span.SetError(r.status());
-    return r;
-  };
-  Result<BoundQuery> ba = bind_side(qa);
-  if (!ba.ok()) return ba.status();
-  Result<BoundQuery> bb = bind_side(qb);
-  if (!bb.ok()) return bb.status();
+  Result<QueryPlan> pa = PlanQuery(*db_, qa, options, /*compare_side=*/true);
+  if (!pa.ok()) return pa.status();
+  Result<QueryPlan> pb = PlanQuery(*db_, qb, options, /*compare_side=*/true);
+  if (!pb.ok()) return pb.status();
   if (ctx != nullptr) {
     if (Status s = ctx->CheckInterrupted("query.bind"); !s.ok()) return s;
   }
+  const BoundQuery* ba = &pa->bound;
+  const BoundQuery* bb = &pb->bound;
+  const Cube& cube = *pa->cube;
+  const RuleSet* rules = db_->rules(pa->cube_name);
 
   if (!ba->allocations.empty() || !bb->allocations.empty()) {
     return Status::Unimplemented(
@@ -584,7 +628,7 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   // must predate any INTRODUCE augmentation; comparing cells *of* the
   // introduced members goes through the algebra API (CompareScenarios)
   // directly, which handles augmented refs.
-  const Schema& schema = (*cube)->schema();
+  const Schema& schema = cube.schema();
   auto in_schema = [&](const BoundTuple& t) {
     for (const auto& [dim, ref] : t.refs) {
       const Dimension& d = schema.dimension(dim);
@@ -609,19 +653,6 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
         "COMPARE slicer cannot name introduced members");
   }
 
-  auto scenarios_of = [&](BoundQuery& q) {
-    if (q.specs.size() == 1 && options.auto_scope) {
-      ApplyAutoScope(q, **cube, &q.specs[0]);
-    }
-    std::vector<ScenarioSpec> out;
-    out.reserve(q.specs.size());
-    for (const WhatIfSpec& spec : q.specs) {
-      out.push_back(ScenarioSpec::FromWhatIf(spec));
-    }
-    return out;
-  };
-  std::vector<ScenarioSpec> sa = scenarios_of(*ba);
-  std::vector<ScenarioSpec> sb = scenarios_of(*bb);
 
   // The compared coordinates: the grid, row-major, at *member* level (no
   // instance expansion — the two scenarios need not agree on instances).
@@ -647,23 +678,13 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
 
   QueryResult result;
   ScenarioCompareOptions copts;
-  copts.eval.strategy = options.strategy;
-  copts.eval.disk = options.disk;
-  copts.eval.stats = &result.whatif_stats;
-  copts.eval.eval_threads = options.eval_threads;
-  copts.eval.cancel = cancel;
-  copts.eval.pipelined_io = options.pipelined_io && options.disk != nullptr;
+  copts.eval = ScenarioOptionsFor(options, cancel, &result.whatif_stats);
   copts.batched_eval = options.batched_eval;
-  if (copts.batched_eval && ctx != nullptr && ctx->UnderPressure()) {
-    // Same first ladder rung as ordinary queries: the shared scratch views
-    // are the largest optional allocation, shed up front under pressure.
-    copts.batched_eval = false;
-    ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
-  }
-  copts.batch.threads = options.eval_threads;
+  copts.batch = BatchOptionsFor(options, cancel, ctx);
 
   Result<ScenarioComparison> cmp =
-      CompareScenarios(**cube, sa, sb, refs, rules, copts);
+      CompareScenarios(cube, ScenariosOf(*ba), ScenariosOf(*bb), refs, rules,
+                       copts);
   if (!cmp.ok()) return cmp.status();
 
   std::vector<std::string> col_labels, row_labels;
@@ -758,42 +779,34 @@ Result<QueryResult> Executor::Execute(std::string_view mdx_text,
 }
 
 // Plan text for one (sub-)query; COMPARE queries render one block per side.
-static Result<std::string> ExplainOne(const Database* db,
-                                      const mdx::ParsedQuery& parsed,
-                                      const QueryOptions& options) {
-  std::string cube_name = Join(parsed.cube_name, ".");
-  Result<const Cube*> cube = db->FindCube(cube_name);
-  if (!cube.ok()) return cube.status();
-  Result<BoundQuery> bound = mdx::Bind(parsed, (*cube)->schema(), db, *cube);
-  if (!bound.ok()) return bound.status();
-
+static std::string RenderPlan(const QueryPlan& plan,
+                              const QueryOptions& options) {
+  const Cube& cube = *plan.cube;
+  const BoundQuery& bound = plan.bound;
   std::string out;
-  out += "cube: " + cube_name + " (" +
-         std::to_string((*cube)->CountNonNullCells()) + " cells, " +
-         std::to_string((*cube)->NumStoredChunks()) + " chunks)\n";
-  for (const BoundAxis& axis : bound->axes) {
+  out += "cube: " + plan.cube_name + " (" +
+         std::to_string(cube.CountNonNullCells()) + " cells, " +
+         std::to_string(cube.NumStoredChunks()) + " chunks)\n";
+  for (const BoundAxis& axis : bound.axes) {
     const char* name = axis.ordinal == 0   ? "columns"
                        : axis.ordinal == 1 ? "rows"
                                            : "pages";
     out += std::string(name) + ": " + std::to_string(axis.tuples.size()) +
            " tuple(s)" + (axis.non_empty ? ", NON EMPTY" : "") + "\n";
   }
-  if (!bound->slicer.refs.empty()) {
-    out += "slicer: " + std::to_string(bound->slicer.refs.size()) +
+  if (!bound.slicer.refs.empty()) {
+    out += "slicer: " + std::to_string(bound.slicer.refs.size()) +
            " coordinate(s)\n";
   }
-  for (const AllocationSpec& allocation : bound->allocations) {
+  for (const AllocationSpec& allocation : bound.allocations) {
     out += "allocation: move " +
            std::to_string(static_cast<int>(allocation.fraction * 100)) +
            "% along dimension '" +
-           (*cube)->schema().dimension(allocation.dim).name() + "'\n";
+           cube.schema().dimension(allocation.dim).name() + "'\n";
   }
-  for (WhatIfSpec spec : bound->specs) {
-    if (options.auto_scope && bound->specs.size() == 1) {
-      ApplyAutoScope(*bound, **cube, &spec);
-    }
+  for (const WhatIfSpec& spec : bound.specs) {
     out += "what-if: dimension '" +
-           (*cube)->schema().dimension(spec.varying_dim).name() + "', " +
+           cube.schema().dimension(spec.varying_dim).name() + "', " +
            SemanticsName(spec.semantics) + ", " + EvalModeName(spec.mode);
     if (!spec.introductions.empty()) {
       int seeded = 0;
@@ -821,30 +834,17 @@ static Result<std::string> ExplainOne(const Database* db,
                 : "multiple-MDX simulation") +
            "\n";
   }
-  const AggregateCache* cache = db->aggregates(cube_name);
-  if (cache != nullptr) {
-    // Persistent views serve whenever derived cells evaluate on the stored
-    // cube: plain queries and non-visual what-if. Visual mode and
-    // allocations evaluate a transformed cube, where only the per-query
-    // scratch views built by batched evaluation apply.
-    bool transformed = !bound->allocations.empty();
-    for (const WhatIfSpec& spec : bound->specs) {
-      if (spec.mode == EvalMode::kVisual) transformed = true;
-    }
+  if (plan.aggregates != nullptr) {
     int resident = 0;
-    for (int i = 0; i < cache->num_views(); ++i) {
-      if (cache->view_resident(i)) ++resident;
+    for (int i = 0; i < plan.aggregates->num_views(); ++i) {
+      if (plan.aggregates->view_resident(i)) ++resident;
     }
-    const CacheKey current{db->cube_version(cube_name),
-                           /*scenario_fingerprint=*/0,
-                           db->structural_epoch(cube_name)};
-    const bool stale = cache->key() != current;
-    out += "aggregations: " + std::to_string(cache->num_views()) +
+    out += "aggregations: " + std::to_string(plan.aggregates->num_views()) +
            " view(s), " + std::to_string(resident) + " resident, " +
-           (stale ? "stale key (bypassed)"
-                  : transformed ? "scratch only (transformed cube)"
-                                : "serving derived cells") +
-           "\n";
+           plan.views_use + "\n";
+  }
+  if (plan.stream_scratch) {
+    out += "scratch views: streamed from the backing file\n";
   }
   return out;
 }
@@ -854,15 +854,21 @@ Result<std::string> Executor::Explain(std::string_view mdx_text,
   Result<mdx::ParsedQuery> parsed = mdx::Parse(mdx_text);
   if (!parsed.ok()) return parsed.status();
   if (parsed->compare_to != nullptr) {
-    Result<std::string> a = ExplainOne(db_, *parsed, options);
+    Result<QueryPlan> a =
+        PlanQuery(*db_, *parsed, options, /*compare_side=*/true);
     if (!a.ok()) return a.status();
-    Result<std::string> b = ExplainOne(db_, *parsed->compare_to, options);
+    Result<QueryPlan> b =
+        PlanQuery(*db_, *parsed->compare_to, options, /*compare_side=*/true);
     if (!b.ok()) return b.status();
     return "compare: delta grid (scenario A - scenario B), shared cover "
            "views over common refs\n-- scenario A --\n" +
-           *a + "-- scenario B --\n" + *b;
+           RenderPlan(*a, options) + "-- scenario B --\n" +
+           RenderPlan(*b, options);
   }
-  return ExplainOne(db_, *parsed, options);
+  Result<QueryPlan> plan =
+      PlanQuery(*db_, *parsed, options, /*compare_side=*/false);
+  if (!plan.ok()) return plan.status();
+  return RenderPlan(*plan, options);
 }
 
 std::string QueryProfile::ToText() const {

@@ -29,10 +29,6 @@ struct QueryOptions {
   EvalStrategy strategy = EvalStrategy::kDirect;
   // Charges chunk fetches to this device when non-null.
   SimulatedDisk* disk = nullptr;
-  // Confine instance merging to the varying members the query actually
-  // touches (the Sec. 6.3 optimisation). Disabled automatically for visual
-  // mode and when the query aggregates over the varying dimension.
-  bool auto_scope = true;
   // Number of threads evaluating the query (1 = serial). Governs both the
   // what-if data movement (Split/Relocate chunk kernels) and grid-cell
   // evaluation, all on the process-wide shared pool; results are
@@ -44,10 +40,12 @@ struct QueryOptions {
   bool collect_profile = false;
   // Batched cover-view evaluation: plan + materialize the subtotal views
   // covering the grid's derived cells in one chunk pass, then serve each
-  // cell from the smallest covering view (what-if queries get a per-query
-  // scratch cache on the transformed cube). Off = per-cell evaluation.
-  // Values are identical either way on exactly-summable data; sums are
-  // re-associated, so the last float bits can differ otherwise.
+  // cell from the smallest covering view, persistent (built by
+  // Database::BuildAggregates) or per-query scratch. Off = the per-cell
+  // oracle: every derived cell is the leaf roll-up and no view serves;
+  // tests and benches compare against it. Values are identical either way
+  // on exactly-summable data; sums are re-associated, so the last float
+  // bits can differ otherwise.
   bool batched_eval = true;
   // Out-of-core reads (needs `disk`): what-if read passes charge the
   // pebbling schedule through SimulatedDisk::ReadSchedule's windowed
@@ -62,12 +60,6 @@ struct QueryOptions {
   // pressure signals walk the degradation ladder before the query fails
   // with kDeadlineExceeded / kCancelled.
   GovernorOptions governor;
-  // Bound on the persistent AggregateCache of the queried cube, in view
-  // cells: applied at query start (a single-threaded quiesce point),
-  // evicting least-recently-served views first until under the bound
-  // (cache.evictions). 0 = leave the cache's current bound untouched;
-  // < 0 = remove the bound.
-  int64_t cache_capacity_cells = 0;
 };
 
 // Where one query's time went: the query's span tree (executor phases,
@@ -126,11 +118,12 @@ class Executor {
   Result<QueryResult> Execute(std::string_view mdx_text,
                               const QueryOptions& options = QueryOptions()) const;
 
-  // Parses, binds and plans the query WITHOUT evaluating it; returns a
-  // human-readable description of what Execute would do: cube, axis sizes,
-  // what-if specs (semantics/mode/perspectives/changes, the Sec. 6.3
-  // scoping decision), allocations, evaluation strategy and whether
-  // materialized aggregations would serve derived cells.
+  // Parses, binds and plans the query WITHOUT evaluating it, and renders
+  // the plan Execute runs (both build it with the same function): cube,
+  // axis sizes, what-if specs (semantics/mode/perspectives/changes, the
+  // Sec. 6.3 scoping decision), allocations, evaluation strategy, whether
+  // materialized aggregations serve derived cells, and whether scratch
+  // views stream from the disk's backing file.
   Result<std::string> Explain(std::string_view mdx_text,
                               const QueryOptions& options = QueryOptions()) const;
 

@@ -26,9 +26,10 @@ namespace olap {
 // query was reshaped.
 //
 // The ladder (applied in this order as pressure is observed):
-//   1. kBatchedEvalOff   — derived cells fall back from batched cover-view
-//                          evaluation to the per-cell path (sheds the
-//                          scratch-view materialization: memory + startup).
+//   1. kBatchedEvalOff   — the batch evaluator's scratch-view plan is
+//                          denied (memory + startup); derived cells are
+//                          served by the persistent views or the residual
+//                          leaf roll-up. Recorded only when a plan is shed.
 //   2. kSerialRollup     — parallel rollup/evaluation falls back to serial
 //                          (returns pool slots to other tenants).
 // Downgrades only ever shrink resource use, and results stay bit-identical

@@ -40,12 +40,6 @@ CellValue CellEvaluator::EvaluateInternal(
     // residual scans — with its own cache accounting.
     return batch_->Evaluate(ref);
   }
-  if (cache_ != nullptr) {
-    // Materialized aggregations: serve the roll-up from the smallest
-    // covering view when one exists.
-    std::optional<CellValue> cached = cache_->TryAnswer(data_, ref);
-    if (cached.has_value()) return *cached;
-  }
   return EvaluateCell(data_, ref);  // Leaf read or default roll-up.
 }
 

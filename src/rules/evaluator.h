@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "agg/aggregate_cache.h"
 #include "agg/batch_eval.h"
 #include "common/value.h"
 #include "cube/cube.h"
@@ -27,17 +26,15 @@ namespace olap {
 // perspective output cube, non-visual on the input cube).
 class CellEvaluator {
  public:
-  // `rules` may be null (pure roll-up cube); `cache` may be null (no
-  // materialized aggregations — every derived cell scans leaves). The
-  // cache, if given, must have been built from `data`. `batch` (nullable)
-  // is a prepared batched evaluator over `data`; when given, cells not
-  // derived by formula — including rule operands — are served through its
-  // cover views instead of the per-cell cache/leaf path. All references
-  // must outlive the evaluator.
+  // `rules` may be null (pure roll-up cube). `batch` (nullable) is a
+  // prepared batched evaluator over `data`; when given, cells not derived
+  // by formula — including rule operands — are served through its
+  // persistent and scratch views. Without it every derived cell is the
+  // leaf roll-up (the per-cell oracle). All references must outlive the
+  // evaluator.
   CellEvaluator(const Cube& data, const RuleSet* rules,
-                const AggregateCache* cache = nullptr,
                 const BatchCellEvaluator* batch = nullptr)
-      : data_(data), rules_(rules), cache_(cache), batch_(batch) {}
+      : data_(data), rules_(rules), batch_(batch) {}
 
   CellValue Evaluate(const CellRef& ref) const;
 
@@ -47,7 +44,6 @@ class CellEvaluator {
 
   const Cube& data_;
   const RuleSet* rules_;
-  const AggregateCache* cache_;
   const BatchCellEvaluator* batch_;
 };
 

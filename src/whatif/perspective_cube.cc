@@ -98,15 +98,23 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
   }
   const ChunkLayout& layout = cube.layout();
   const int width = layout.chunk_sizes()[varying_dim];
+  // Chunk ids are row-major over the chunk grid (last dimension fastest):
+  // the varying dimension's chunk coordinate is (id / stride) % count.
+  int64_t stride = 1;
+  for (int d = layout.num_dims() - 1; d > varying_dim; --d) {
+    stride *= layout.chunks_per_dim()[d];
+  }
+  const int64_t count = layout.chunks_per_dim()[varying_dim];
   std::vector<ChunkId> relevant;
-  cube.ForEachChunk([&](ChunkId id, const Chunk&) {
-    int base = layout.ChunkBase(id)[varying_dim];
+  cube.ForEachChunkWhile([&](ChunkId id, const Chunk&) {
+    const int base = static_cast<int>((id / stride) % count) * width;
     for (int pos = base; pos < base + width && pos < dim.num_positions(); ++pos) {
       if (needed[pos]) {
         relevant.push_back(id);
-        return;
+        break;
       }
     }
+    return true;
   });
 
   // How many chunks must be co-resident to merge related instances, under
@@ -200,8 +208,7 @@ CellValue PerspectiveCube::Evaluate(const CellRef& ref, const RuleSet* rules,
     return output_.GetCell(leaf_coords);
   }
   if (mode_ == EvalMode::kVisual) {
-    return CellEvaluator(output_, rules, nullptr, batch_for(output_))
-        .Evaluate(ref);
+    return CellEvaluator(output_, rules, batch_for(output_)).Evaluate(ref);
   }
   // Non-visual: derived values are retained from the input cube. Refs that
   // pin instances created by a Split, or that name members introduced into
@@ -216,8 +223,7 @@ CellValue PerspectiveCube::Evaluate(const CellRef& ref, const RuleSet* rules,
       return CellEvaluator(output_, rules).Evaluate(ref);
     }
   }
-  return CellEvaluator(*input_, rules, nullptr, batch_for(*input_))
-      .Evaluate(ref);
+  return CellEvaluator(*input_, rules, batch_for(*input_)).Evaluate(ref);
 }
 
 namespace {

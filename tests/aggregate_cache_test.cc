@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "agg/batch_eval.h"
 #include "agg/rollup.h"
 #include "common/metrics.h"
 #include "engine/executor.h"
@@ -37,8 +38,9 @@ TEST_F(AggregateCacheTest, GreedyBuildMaterializesViews) {
 
 TEST_F(AggregateCacheTest, CachedAnswersMatchLeafScans) {
   AggregateCache cache = AggregateCache::BuildGreedy(ex_.cube, 8);
-  // Every derived ref a few representative shapes: the cache must agree
-  // with the direct roll-up whenever it answers.
+  BatchCellEvaluator batch(ex_.cube, &cache);
+  // Derived refs of a few representative shapes: served from a view or
+  // rolled up from the leaves, the answer is the direct roll-up.
   const Schema& s = ex_.cube.schema();
   std::vector<CellRef> refs = {
       Ref(AxisRef::OfMember(s.dimension(ex_.org_dim).root()), "Location",
@@ -51,10 +53,7 @@ TEST_F(AggregateCacheTest, CachedAnswersMatchLeafScans) {
       Ref(AxisRef::OfMember(ex_.joe), "Location", "Time", "Salary"),
   };
   for (const CellRef& ref : refs) {
-    std::optional<CellValue> cached = cache.TryAnswer(ex_.cube, ref);
-    if (cached.has_value()) {
-      EXPECT_EQ(*cached, EvaluateCell(ex_.cube, ref));
-    }
+    EXPECT_EQ(batch.Evaluate(ref), EvaluateCell(ex_.cube, ref));
   }
   EXPECT_GT(cache.hits, 0);
 }
@@ -62,25 +61,34 @@ TEST_F(AggregateCacheTest, CachedAnswersMatchLeafScans) {
 TEST_F(AggregateCacheTest, GrandTotalFromEmptyView) {
   // The empty group-by (grand total) is among the first greedy picks.
   AggregateCache cache = AggregateCache::BuildGreedy(ex_.cube, 10);
+  BatchCellEvaluator batch(ex_.cube, &cache);
   CellRef total = Ref(AxisRef::OfMember(ex_.cube.schema().dimension(0).root()),
                       "Location", "Time", "Measures");
-  std::optional<CellValue> v = cache.TryAnswer(ex_.cube, total);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, CellValue(250.0));
+  EXPECT_EQ(batch.Evaluate(total), CellValue(250.0));
+  EXPECT_EQ(cache.hits, 1);
+  EXPECT_EQ(cache.misses, 0);
 }
 
 TEST_F(AggregateCacheTest, FullyRestrictedRefMisses) {
   AggregateCache cache = AggregateCache::BuildGreedy(ex_.cube, 4);
-  // A leaf ref restricts every dimension; no proper view covers it.
+  BatchCellEvaluator batch(ex_.cube, &cache);
+  // A derived ref restricting every dimension: no proper view covers it,
+  // so it misses and rolls up from the leaves.
+  CellRef derived = Ref(AxisRef::OfMember(ex_.fte), "NY", "Jan", "Salary");
+  EXPECT_EQ(batch.Evaluate(derived), EvaluateCell(ex_.cube, derived));
+  EXPECT_EQ(cache.misses, 1);
+  // A leaf ref is a direct read, not a lookup.
   CellRef leaf = Ref(AxisRef::OfInstance(ex_.joe, ex_.fte_joe), "NY", "Jan",
                      "Salary");
-  EXPECT_FALSE(cache.TryAnswer(ex_.cube, leaf).has_value());
-  EXPECT_GT(cache.misses, 0);
+  EXPECT_EQ(batch.Evaluate(leaf), EvaluateCell(ex_.cube, leaf));
+  EXPECT_EQ(cache.hits, 0);
+  EXPECT_EQ(cache.misses, 1);
 }
 
 TEST_F(AggregateCacheTest, EvaluatorUsesCache) {
   AggregateCache cache = AggregateCache::BuildGreedy(ex_.cube, 8);
-  CellEvaluator with_cache(ex_.cube, nullptr, &cache);
+  BatchCellEvaluator batch(ex_.cube, &cache);
+  CellEvaluator with_cache(ex_.cube, nullptr, &batch);
   CellEvaluator without_cache(ex_.cube, nullptr);
   CellRef ref = Ref(AxisRef::OfMember(ex_.pte), "Location", "Time", "Measures");
   int64_t hits_before = cache.hits;
@@ -253,7 +261,8 @@ TEST(AggregateCacheEngineTest, QueriesAgreeWithAndWithoutAggregates) {
       // Mixed leaf/aggregate.
       "SELECT {[Account].Levels(0).Members} ON COLUMNS, "
       "{Descendants([Period],1)} ON ROWS FROM App.Db",
-      // What-if query: the cache must be bypassed, results identical.
+      // Non-visual what-if: derived cells still evaluate on the stored
+      // cube, so its views serve; results identical.
       "WITH PERSPECTIVE {(Jan), (Jul)} FOR Department STATIC "
       "SELECT {([Current])} ON COLUMNS, "
       "{[EmployeesWithAtleastOneMove-Set1].Children} ON ROWS FROM App.Db",
@@ -275,12 +284,12 @@ TEST(AggregateCacheEngineTest, QueriesAgreeWithAndWithoutAggregates) {
   }
 }
 
-TEST(AggregateCacheEngineTest, QueryOptionCapacityBoundsThePersistentCache) {
+TEST(AggregateCacheEngineTest, MutableAggregatesCapacityBoundsThePersistentCache) {
   PaperExample ex = BuildPaperExample();
   Database db;
   ASSERT_TRUE(db.AddCube("W", ex.cube).ok());
   ASSERT_TRUE(db.BuildAggregates("W", 6).ok());
-  const AggregateCache* cache = db.aggregates("W");
+  AggregateCache* cache = db.mutable_aggregates("W");
   ASSERT_NE(cache, nullptr);
   const int64_t full = cache->TotalCells();
   ASSERT_GT(full, 1);
@@ -292,22 +301,19 @@ TEST(AggregateCacheEngineTest, QueryOptionCapacityBoundsThePersistentCache) {
   Result<QueryResult> unbounded = exec.Execute(query, QueryOptions());
   ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
 
-  // A bound applied at query start evicts down to the budget; the answer
-  // is unchanged (evicted views just stop serving).
-  QueryOptions bounded;
-  bounded.cache_capacity_cells = full / 2;
-  Result<QueryResult> r = exec.Execute(query, bounded);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // A bound set between queries evicts down to the budget; the answer is
+  // unchanged (evicted views just stop serving).
+  cache->SetCapacity(full / 2);
   EXPECT_LE(cache->TotalCells(), full / 2);
   EXPECT_EQ(cache->capacity_cells(), full / 2);
+  Result<QueryResult> r = exec.Execute(query, QueryOptions());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(unbounded->grid.at(0, 0), r->grid.at(0, 0));
 
-  // < 0 removes the bound (but does not resurrect evicted views);
-  // 0 leaves the current bound untouched.
-  QueryOptions unbind;
-  unbind.cache_capacity_cells = -1;
-  ASSERT_TRUE(exec.Execute(query, unbind).ok());
+  // < 0 removes the bound (but does not resurrect evicted views).
+  cache->SetCapacity(-1);
   EXPECT_EQ(cache->capacity_cells(), -1);
+  ASSERT_TRUE(exec.Execute(query, QueryOptions()).ok());
 }
 
 TEST(AggregateCacheEngineTest, BuildAggregatesValidation) {

@@ -1,15 +1,17 @@
 // AggregateCache and LRU cache statistics verified against hand-simulated
-// references: the cache's own hit/miss counters, the process-wide
-// "agg.cache.*" metrics, and SimulatedDisk's eviction accounting must all
-// match an independent model of the same access sequence.
+// references: the cache's own hit/miss counters as BatchCellEvaluator
+// serves from it, the process-wide "agg.cache.*" metrics, and
+// SimulatedDisk's eviction accounting must all match an independent model
+// of the same access sequence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "agg/aggregate_cache.h"
+#include "agg/batch_eval.h"
+#include "agg/rollup.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/simulated_disk.h"
@@ -18,42 +20,57 @@
 namespace olap {
 namespace {
 
-// Reference model of AggregateCache::TryAnswer's hit condition: a ref is
-// answerable iff some materialized view keeps every dimension the ref
-// restricts (anything but the root).
-bool ReferenceHit(const Cube& cube, const std::vector<GroupByMask>& masks,
-                  const CellRef& ref) {
+// Reference model of the evaluator's serving accounting over a persistent
+// cache: a leaf ref (one position on every dimension) is a direct read and
+// no lookup; a derived ref with an empty scope somewhere is ⊥ and counts as
+// a hit; any other derived ref hits iff some materialized view keeps every
+// dimension the ref restricts (anything but the root).
+enum class Expected { kDirectRead, kHit, kMiss };
+
+Expected ReferenceOutcome(const Cube& cube,
+                          const std::vector<GroupByMask>& masks,
+                          const CellRef& ref) {
+  bool leaf = true;
+  for (int d = 0; d < cube.num_dims() && leaf; ++d) {
+    const Dimension& dim = cube.schema().dimension(d);
+    if (ref[d].instance != kInvalidInstance) continue;
+    leaf = dim.member(ref[d].member).is_leaf() &&
+           (!dim.is_varying() || dim.InstancesOf(ref[d].member).size() == 1);
+  }
+  if (leaf) return Expected::kDirectRead;
   GroupByMask needed = 0;
   for (int d = 0; d < cube.num_dims(); ++d) {
+    if (cube.PositionsUnderWeighted(d, ref[d]).empty()) return Expected::kHit;
     if (ref[d].instance != kInvalidInstance ||
         ref[d].member != cube.schema().dimension(d).root()) {
       needed |= GroupByMask{1} << d;
     }
   }
   for (GroupByMask mask : masks) {
-    if ((needed & mask) == needed) return true;
+    if ((needed & mask) == needed) return Expected::kHit;
   }
-  return false;
+  return Expected::kMiss;
 }
 
 TEST(CacheStatsTest, HitMissCountersMatchHandSimulation) {
   PaperExample ex = BuildPaperExample();
   const Schema& schema = ex.cube.schema();
 
-  // Views over {Location}, {Time}, {Location, Time}: refs restricting
-  // Organization or Measures must miss, everything else must hit.
+  // Views over {Location}, {Time}, {Location, Time}: derived refs
+  // restricting Organization or Measures must miss, the others must hit.
   std::vector<GroupByMask> masks = {
       GroupByMask{1} << ex.location_dim,
       GroupByMask{1} << ex.time_dim,
       (GroupByMask{1} << ex.location_dim) | (GroupByMask{1} << ex.time_dim),
   };
   AggregateCache cache(ex.cube, masks);
+  BatchCellEvaluator batch(ex.cube, &cache);
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   MetricsRegistry::Snapshot before = reg.TakeSnapshot();
 
   Rng rng(777);
-  int64_t expected_hits = 0, expected_misses = 0;
+  int64_t expected_hits = 0, expected_misses = 0, expected_reads = 0;
   const int kTrials = 500;
   for (int trial = 0; trial < kTrials; ++trial) {
     CellRef ref(schema.num_dimensions());
@@ -71,22 +88,40 @@ TEST(CacheStatsTest, HitMissCountersMatchHandSimulation) {
             static_cast<MemberId>(rng.NextBelow(dim.num_members())));
       }
     }
-    const bool hit = ReferenceHit(ex.cube, masks, ref);
-    (hit ? expected_hits : expected_misses) += 1;
-
-    std::optional<CellValue> answer = cache.TryAnswer(ex.cube, ref);
-    EXPECT_EQ(answer.has_value(), hit) << "trial " << trial;
+    const int64_t hits = cache.hits.load(), misses = cache.misses.load();
+    EXPECT_EQ(batch.Evaluate(ref), EvaluateCell(ex.cube, ref))
+        << "trial " << trial;
+    switch (ReferenceOutcome(ex.cube, masks, ref)) {
+      case Expected::kDirectRead:
+        ++expected_reads;
+        EXPECT_EQ(cache.hits.load() + cache.misses.load(), hits + misses)
+            << "trial " << trial;
+        break;
+      case Expected::kHit:
+        ++expected_hits;
+        EXPECT_EQ(cache.hits.load(), hits + 1) << "trial " << trial;
+        break;
+      case Expected::kMiss:
+        ++expected_misses;
+        EXPECT_EQ(cache.misses.load(), misses + 1) << "trial " << trial;
+        break;
+    }
   }
+  // Every outcome occurs in the sample.
+  EXPECT_GT(expected_reads, 0);
+  EXPECT_GT(expected_hits, 0);
+  EXPECT_GT(expected_misses, 0);
 
   // The cache's own counters...
   EXPECT_EQ(cache.hits.load(), expected_hits);
   EXPECT_EQ(cache.misses.load(), expected_misses);
-  EXPECT_EQ(cache.hits.load() + cache.misses.load(), kTrials);
+  EXPECT_EQ(cache.hits.load() + cache.misses.load(), kTrials - expected_reads);
 
   // ...and the registry deltas agree with the hand simulation.
   MetricsRegistry::Snapshot delta =
       MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
-  EXPECT_EQ(delta.counter_value("agg.cache.lookups"), kTrials);
+  EXPECT_EQ(delta.counter_value("agg.cache.lookups"),
+            kTrials - expected_reads);
   EXPECT_EQ(delta.counter_value("agg.cache.hits"), expected_hits);
   EXPECT_EQ(delta.counter_value("agg.cache.misses"), expected_misses);
 }

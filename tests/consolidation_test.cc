@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "agg/aggregate_cache.h"
+#include "agg/batch_eval.h"
 #include "agg/rollup.h"
 #include "storage/cube_io.h"
 
@@ -108,13 +109,15 @@ TEST(ConsolidationTest, WeightedPositionsUnder) {
 TEST(ConsolidationTest, AggregateCacheAppliesWeights) {
   ProfitWorld w = BuildProfitWorld();
   AggregateCache cache = AggregateCache::BuildGreedy(w.cube, 4);
+  BatchCellEvaluator batch(w.cube, &cache);
   // Margin over the whole Market dimension (only Accounts restricted, so a
   // {Accounts}-keeping view can answer): (100+50) - (60+20) = 70.
   CellRef margin_all = Ref(w, "Market", w.margin);
-  std::optional<CellValue> cached = cache.TryAnswer(w.cube, margin_all);
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(*cached, CellValue(70.0));
-  EXPECT_EQ(*cached, EvaluateCell(w.cube, margin_all));
+  const int64_t hits_before = cache.hits;
+  const CellValue served = batch.Evaluate(margin_all);
+  EXPECT_EQ(cache.hits, hits_before + 1) << "served from a view";
+  EXPECT_EQ(served, CellValue(70.0));
+  EXPECT_EQ(served, EvaluateCell(w.cube, margin_all));
 }
 
 TEST(ConsolidationTest, WeightsSurviveSerialization) {

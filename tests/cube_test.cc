@@ -169,25 +169,26 @@ TEST(CubeTest, ForEachCellVisitsAllNonNull) {
   EXPECT_EQ(sum, CellValue(3 * 6 * 10 + 70.0));
 }
 
-// Full row-major sweep across every chunk boundary: the last-chunk memo
-// must be invisible to callers — GetCell and GetCellUncached agree on every
-// cell, stored or hole.
-TEST(CubeTest, GetCellMemoMatchesUncachedAcrossChunks) {
+// Full row-major sweep across every chunk boundary: GetCell reads every
+// stored cell exactly once and ⊥ from every hole.
+TEST(CubeTest, GetCellSweepMatchesStoredCells) {
   PaperExample ex = BuildPaperExample();
   const Cube& cube = ex.cube;
   const std::vector<int>& ext = cube.layout().extents();
   ASSERT_EQ(ext.size(), 4u);
+  CellValue stored_sum;
+  cube.ForEachCell(
+      [&](const std::vector<int>&, CellValue v) { stored_sum += v; });
   std::vector<int> c(4, 0);
   int64_t cells = 0, non_null = 0;
+  CellValue swept_sum;
   for (c[0] = 0; c[0] < ext[0]; ++c[0]) {
     for (c[1] = 0; c[1] < ext[1]; ++c[1]) {
       for (c[2] = 0; c[2] < ext[2]; ++c[2]) {
         for (c[3] = 0; c[3] < ext[3]; ++c[3]) {
-          CellValue memoized = cube.GetCell(c);
-          CellValue plain = cube.GetCellUncached(c);
-          ASSERT_EQ(memoized.is_null(), plain.is_null());
-          if (!memoized.is_null()) {
-            ASSERT_EQ(memoized, plain);
+          CellValue v = cube.GetCell(c);
+          if (!v.is_null()) {
+            swept_sum += v;
             ++non_null;
           }
           ++cells;
@@ -197,27 +198,24 @@ TEST(CubeTest, GetCellMemoMatchesUncachedAcrossChunks) {
   }
   EXPECT_GT(cells, 0);
   EXPECT_EQ(non_null, cube.CountNonNullCells());
+  EXPECT_EQ(swept_sum, stored_sum);
 }
 
-TEST(CubeTest, GetCellMemoSeesWritesAndResetsOnCopyAndMove) {
+TEST(CubeTest, GetCellSeesWritesCopiesAndMoves) {
   PaperExample ex = BuildPaperExample();
   Cube cube(ex.cube.schema());
   cube.SetCell({0, 0, 0, 0}, CellValue(1.0));
-  // Warm the memo on the first chunk, then write through it: chunk nodes
-  // are stable, so the memoized read must see the new value.
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(1.0));
   cube.SetCell({0, 0, 0, 0}, CellValue(2.0));
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(2.0));
-  // A write that creates a *different* chunk leaves the memo stale but
-  // harmless: reads of either chunk stay correct.
+  // A write that creates a *different* chunk leaves the first one intact.
   const std::vector<int>& ext = cube.layout().extents();
   std::vector<int> far = {ext[0] - 1, ext[1] - 1, ext[2] - 1, ext[3] - 1};
   cube.SetCell(far, CellValue(3.0));
   EXPECT_EQ(cube.GetCell(far), CellValue(3.0));
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(2.0));
 
-  // The memo points into this cube's own chunk map: copies and moves start
-  // cold and must read their own storage, not the source's.
+  // Copies and moves read their own storage, not the source's.
   Cube copy = cube;
   EXPECT_EQ(copy.GetCell(far), CellValue(3.0));
   copy.SetCell(far, CellValue(4.0));
@@ -229,25 +227,20 @@ TEST(CubeTest, GetCellMemoSeesWritesAndResetsOnCopyAndMove) {
   EXPECT_EQ(moved.GetCell({0, 0, 0, 0}), CellValue(2.0));
 }
 
-// Regression: ReplaceChunk / EraseChunk mutate a chunk the memo may point
-// at. A memoized GetCell primed on the old node must not serve the
-// replaced bytes (or a dangling node after erase).
-TEST(CubeTest, GetCellMemoResetsOnReplaceAndEraseChunk) {
+// ReplaceChunk / EraseChunk mutate a chunk a previous read touched: the
+// next read must serve the new bytes, or ⊥ after an erase.
+TEST(CubeTest, GetCellAfterReplaceAndEraseChunk) {
   PaperExample ex = BuildPaperExample();
   Cube cube(ex.cube.schema());
   cube.SetCell({0, 0, 0, 0}, CellValue(5.0));
   const ChunkId id = cube.layout().ChunkOf({0, 0, 0, 0});
-
-  // Prime the memo on the stored chunk.
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(5.0));
 
-  // Swap in a freshly built chunk: the memoized path must serve the new
-  // bytes, and agree with the uncached read.
+  // Swap in a freshly built chunk.
   Chunk fresh(cube.layout().cells_per_chunk());
   fresh.Set(0, CellValue(9.0));
   cube.ReplaceChunk(id, std::move(fresh));
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(9.0));
-  EXPECT_EQ(cube.GetCellUncached({0, 0, 0, 0}), CellValue(9.0));
 
   // ReplaceChunk under an id with no stored chunk creates it.
   const std::vector<int>& ext = cube.layout().extents();
@@ -260,13 +253,11 @@ TEST(CubeTest, GetCellMemoResetsOnReplaceAndEraseChunk) {
   cube.ReplaceChunk(far_id, std::move(far_chunk));
   EXPECT_EQ(cube.GetCell(far), CellValue(7.0));
 
-  // Erase through a warm memo: every cell of the chunk reads ⊥ and the
-  // memoized read agrees with the uncached one.
+  // Erase after a read: every cell of the chunk reads ⊥.
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(9.0));
   cube.EraseChunk(id);
   EXPECT_FALSE(cube.HasChunk(id));
   EXPECT_TRUE(cube.GetCell({0, 0, 0, 0}).is_null());
-  EXPECT_TRUE(cube.GetCellUncached({0, 0, 0, 0}).is_null());
   // The other chunk is untouched.
   EXPECT_EQ(cube.GetCell(far), CellValue(7.0));
   // Erasing an absent chunk is a no-op.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/metrics.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -219,6 +223,45 @@ TEST_F(ExecutorTest, PagesAxisFoldsIntoRows) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+// batched_eval off is the per-cell oracle: on an aggregated cube it reads
+// no view (zero cache lookups) and returns the batched grid bit for bit.
+TEST_F(ExecutorTest, PerCellEvaluationIsALeafRollupOracle) {
+  ASSERT_TRUE(db_.BuildAggregates("Warehouse", 6).ok());
+  const char* query =
+      "SELECT {Time.[Qtr1], Time.[Qtr2], Time.[Jan]} ON COLUMNS, "
+      "{[FTE], [PTE], [Contractor], [Organization]} ON ROWS FROM Warehouse "
+      "WHERE (Measures.[Salary])";
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+  const QueryResult batched = MustExecute(query);
+  MetricsRegistry::Snapshot delta =
+      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+  EXPECT_GT(delta.counter_value("agg.cache.lookups"), 0);
+
+  QueryOptions per_cell;
+  per_cell.batched_eval = false;
+  before = reg.TakeSnapshot();
+  const QueryResult oracle = MustExecute(query, per_cell);
+  delta = MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+  EXPECT_EQ(delta.counter_value("agg.cache.lookups"), 0);
+  EXPECT_EQ(delta.counter_value("agg.batch.refs"), 0);
+
+  ASSERT_EQ(batched.grid.num_rows(), oracle.grid.num_rows());
+  ASSERT_EQ(batched.grid.num_columns(), oracle.grid.num_columns());
+  for (int r = 0; r < batched.grid.num_rows(); ++r) {
+    for (int c = 0; c < batched.grid.num_columns(); ++c) {
+      const CellValue a = batched.grid.at(r, c);
+      const CellValue b = oracle.grid.at(r, c);
+      ASSERT_EQ(a.is_null(), b.is_null()) << r << "," << c;
+      if (!a.is_null()) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(a.value()),
+                  std::bit_cast<uint64_t>(b.value()))
+            << r << "," << c;
+      }
+    }
+  }
 }
 
 TEST_F(ExecutorTest, GridToStringRendersTable) {

@@ -140,6 +140,59 @@ TEST_F(ExplainTest, ExplainAnalyzeRendersComparisonAndComposeSpan) {
   EXPECT_NE(r->find("scenario.compose"), std::string::npos);
 }
 
+// Members the stored Organization dimension does not have (INTRODUCE'd
+// ones) leave the merge unscoped: the planner cannot tell whether they
+// aggregate, and scoping never changes results.
+TEST_F(ExplainTest, IntroducedMembersLeaveTheMergeUnscoped) {
+  for (const char* mdx : {
+           // An introduced inner member with a new leaf under it.
+           "WITH INTRODUCE {([Consulting], [Organization]), "
+           "([Ann], [Consulting], [Mar], CLONE [Lisa] 1.0)} FOR Organization "
+           "SELECT {Time.[Feb], Time.[Mar]} ON COLUMNS, "
+           "{[Consulting], [FTE]} ON ROWS "
+           "FROM Warehouse WHERE ([NY], [Salary])",
+           // Only an introduced leaf on the varying axis.
+           "WITH INTRODUCE {([Newbie], [FTE], [Mar], CLONE [Lisa] 0.5)} "
+           "FOR Organization "
+           "SELECT {Time.[Mar]} ON COLUMNS, {[Newbie]} ON ROWS "
+           "FROM Warehouse WHERE ([NY], [Salary])",
+       }) {
+    std::string plan = MustExplain(mdx);
+    EXPECT_NE(plan.find("unscoped merge"), std::string::npos) << plan;
+    Result<QueryResult> r = exec_->Execute(mdx);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+  }
+}
+
+// EXPLAIN prints the plan Execute runs: it says the persistent views serve
+// derived cells exactly when executing the query draws hits from them.
+TEST_F(ExplainTest, PersistentViewsServeExactlyWhenExplainSaysSo) {
+  ASSERT_TRUE(db_.BuildAggregates("Warehouse", 4).ok());
+  const AggregateCache* cache = db_.aggregates("Warehouse");
+  ASSERT_NE(cache, nullptr);
+  auto serves = [&](const std::string& mdx, bool expected) {
+    const std::string plan = MustExplain(mdx);
+    const bool says = plan.find("serving derived cells") != std::string::npos;
+    const int64_t hits = cache->hits;
+    Result<QueryResult> r = exec_->Execute(mdx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(says, cache->hits > hits) << plan << mdx;
+    EXPECT_EQ(says, expected) << plan << mdx;
+  };
+  const std::string select =
+      "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+      "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+      "WHERE (Measures.[Salary])";
+  const std::string changes =
+      "WITH CHANGES {([Contractor].[Joe], [Contractor], [FTE], [Apr])} ";
+  serves(select, true);
+  serves(changes + select, true);           // Non-visual: stored input.
+  serves(changes + "VISUAL " + select, false);  // Transformed output.
+  serves("COMPARE " + changes + select + " VERSUS " + select, false);
+  ASSERT_TRUE(db_.BumpStructuralEpoch("Warehouse").ok());
+  serves(select, false);  // Stale key: bypassed.
+}
+
 TEST_F(ExplainTest, ErrorsPropagate) {
   EXPECT_FALSE(exec_->Explain("garbage").ok());
   EXPECT_FALSE(exec_->Explain("SELECT {x} ON COLUMNS FROM Nowhere").ok());

@@ -229,10 +229,20 @@ TEST_F(GovernedQueryTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(delta.counter_value("governor.deadline_exceeded"), 1);
 }
 
+// A query whose derived cells leave Location at its droppable root: the
+// batch planner materializes a scratch cover view for it (kGovernedQuery
+// pins every dimension, so its "view" would be the raw cube and no scratch
+// is ever planned — no allocation to deny, so no batched_eval_off rung).
+const char kBudgetQuery[] =
+    "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD "
+    "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+    "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+    "WHERE (Measures.[Salary])";
+
 TEST_F(GovernedQueryTest, DeadlinePressureWalksTheLadderNotFailure) {
   QueryOptions plain;
   plain.eval_threads = 4;
-  const QueryResult oracle = MustExecute(kGovernedQuery, plain);
+  const QueryResult oracle = MustExecute(kBudgetQuery, plain);
 
   // A huge deadline with pressure_fraction 0: the query is "pressured"
   // from the first phase but nowhere near failing — it must degrade and
@@ -243,7 +253,7 @@ TEST_F(GovernedQueryTest, DeadlinePressureWalksTheLadderNotFailure) {
 
   MetricsRegistry& reg = MetricsRegistry::Global();
   const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
-  const QueryResult r = MustExecute(kGovernedQuery, governed);
+  const QueryResult r = MustExecute(kBudgetQuery, governed);
   const MetricsRegistry::Snapshot delta =
       MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
 
@@ -254,16 +264,6 @@ TEST_F(GovernedQueryTest, DeadlinePressureWalksTheLadderNotFailure) {
   EXPECT_GE(delta.counter_value("governor.degrade.serial_rollup"), 1);
   EXPECT_EQ(delta.counter_value("governor.deadline_exceeded"), 0);
 }
-
-// A query whose derived cells leave Location at its droppable root: the
-// batch planner materializes a scratch cover view for it (kGovernedQuery
-// pins every dimension, so its "view" would be the raw cube and no scratch
-// is ever planned — no allocation to deny).
-const char kBudgetQuery[] =
-    "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD "
-    "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
-    "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
-    "WHERE (Measures.[Salary])";
 
 TEST_F(GovernedQueryTest, MemoryBudgetDenialShedsBatchedEval) {
   const QueryResult oracle = MustExecute(kBudgetQuery, QueryOptions());
@@ -282,6 +282,36 @@ TEST_F(GovernedQueryTest, MemoryBudgetDenialShedsBatchedEval) {
   EXPECT_GE(delta.counter_value("governor.mem.denied"), 1);
   EXPECT_GE(delta.counter_value("agg.batch.budget_denied"), 1);
   // All reservations returned by the end of the query.
+  EXPECT_EQ(reg.gauge("governor.mem.reserved_cells")->value(), 0);
+}
+
+// COMPARE's shared scratch views go through the same reservation as an
+// ordinary query's: a denial sheds them, records the rung and leaves the
+// grid unchanged.
+TEST_F(GovernedQueryTest, MemoryBudgetDenialShedsCompareScratchViews) {
+  const std::string query =
+      std::string("COMPARE ") + kBudgetQuery +
+      " VERSUS "
+      "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+      "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+      "WHERE (Measures.[Salary])";
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+  const QueryResult oracle = MustExecute(query, QueryOptions());
+  MetricsRegistry::Snapshot delta =
+      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+  EXPECT_GE(delta.counter_value("scenario.compare.shared_views"), 1);
+
+  QueryOptions governed;
+  governed.governor.memory_budget_cells = 1;  // Denies any scratch plan.
+  before = reg.TakeSnapshot();
+  const QueryResult r = MustExecute(query, governed);
+  delta = MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+
+  ExpectGridsBitIdentical(oracle.grid, r.grid);
+  EXPECT_TRUE(Contains(r.governor_steps, "batched_eval_off"));
+  EXPECT_GE(delta.counter_value("governor.mem.denied"), 1);
+  EXPECT_EQ(delta.counter_value("scenario.compare.shared_views"), 0);
   EXPECT_EQ(reg.gauge("governor.mem.reserved_cells")->value(), 0);
 }
 
@@ -306,7 +336,7 @@ TEST_F(GovernedQueryTest, ExplainAnalyzeShowsLadderSteps) {
   governed.eval_threads = 4;
   governed.governor.deadline_seconds = 3600.0;
   governed.governor.pressure_fraction = 0.0;
-  Result<std::string> text = exec_->ExplainAnalyze(kGovernedQuery, governed);
+  Result<std::string> text = exec_->ExplainAnalyze(kBudgetQuery, governed);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   EXPECT_NE(text->find("governor: degraded ["), std::string::npos);
   EXPECT_NE(text->find("batched_eval_off"), std::string::npos);

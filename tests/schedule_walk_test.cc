@@ -412,5 +412,43 @@ TEST(PipelinedQueryTest, PipelinedIoPreservesQueryResults) {
   std::remove(path.c_str());
 }
 
+// EXPLAIN renders the streaming decision of the plan Execute runs: scratch
+// views stream from the backing file only with pipelined_io on and only
+// when derived cells evaluate on the stored cube the file holds.
+TEST(PipelinedQueryTest, ExplainShowsWhereScratchViewsStream) {
+  ProductCubeConfig config;
+  config.separation_chunks = 4;
+  ProductCube workload = BuildProductCube(config);
+  const std::string path = TempPath("explain_stream.olap");
+  ASSERT_TRUE(SaveCube(workload.cube, path).ok());
+  Database db;
+  ASSERT_TRUE(db.AddCube("Products", workload.cube).ok());
+  Executor exec(&db);
+  SimulatedDisk disk(TestModel(), 0);
+  ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
+  QueryOptions piped;
+  piped.disk = &disk;
+  piped.pipelined_io = true;
+  QueryOptions sync = piped;
+  sync.pipelined_io = false;
+
+  const std::string select =
+      "SELECT {Time.[Jan], Time.[Jul]} ON COLUMNS, {[Product].Children} "
+      "ON ROWS FROM Products";
+  const std::string perspective =
+      "WITH PERSPECTIVE {(Jan), (Jul)} FOR Product DYNAMIC FORWARD ";
+  const char kStreamed[] = "scratch views: streamed from the backing file";
+  auto streams = [&](const std::string& mdx, const QueryOptions& options) {
+    Result<std::string> plan = exec.Explain(mdx, options);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() && plan->find(kStreamed) != std::string::npos;
+  };
+  EXPECT_TRUE(streams(select, piped));
+  EXPECT_TRUE(streams(perspective + select, piped));  // Non-visual: stored.
+  EXPECT_FALSE(streams(perspective + "VISUAL " + select, piped));
+  EXPECT_FALSE(streams(select, sync));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace olap
