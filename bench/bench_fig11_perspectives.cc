@@ -28,10 +28,11 @@
 //   --smoke  scaled-down workforce + fewer repetitions (CI-sized).
 //   --check  exit non-zero unless every series fits a line with
 //            R^2 >= 0.95, the three strategies agree on the grid shape at
-//            every k, and Multiple MDX is never cheaper than the direct
-//            static path in total (CPU + virtual I/O) time over the sweep;
-//            the comparison microbench must share at least one cover view
-//            and match the per-cell path bit-for-bit.
+//            every k, Multiple MDX and direct static return bit-identical
+//            grids at every k, and Multiple MDX is never cheaper than the
+//            direct static path in total (CPU + virtual I/O) time over the
+//            sweep; the comparison microbench must share at least one
+//            cover view and match the per-cell path bit-for-bit.
 
 #include <algorithm>
 #include <chrono>
@@ -66,6 +67,7 @@ struct Point {
   int64_t passes = 0;
   int64_t chunk_reads = 0;
   int64_t cells_moved = 0;
+  ResultGrid grid;  // From the first rep, for the cross-strategy check.
 };
 
 struct Series {
@@ -228,6 +230,7 @@ int Run(int argc, char** argv) {
         const double ms = wall_ms + disk.stats().virtual_seconds * 1e3;
         if (rep == 0 || ms < point.ms) point.ms = ms;
         point.grid_rows = r->grid.num_rows();
+        if (rep == 0) point.grid = std::move(r->grid);
         point.passes = r->whatif_stats.passes;
         point.chunk_reads = r->whatif_stats.chunk_reads;
         point.cells_moved = r->whatif_stats.cells_moved;
@@ -265,6 +268,29 @@ int Run(int argc, char** argv) {
         ok = false;
         break;
       }
+    }
+  }
+
+  // Multiple MDX simulates the direct static query: same cells, bit for bit.
+  for (int i = 0; i < kMaxPerspectives; ++i) {
+    const ResultGrid& a = series[0].points[i].grid;
+    const ResultGrid& b = series[1].points[i].grid;
+    if (a.num_rows() != b.num_rows() || a.num_columns() != b.num_columns()) {
+      continue;  // Reported by the shape check above.
+    }
+    int64_t differing = 0;
+    for (int row = 0; row < a.num_rows(); ++row) {
+      for (int col = 0; col < a.num_columns(); ++col) {
+        if (BitsOf(a.at(row, col)) != BitsOf(b.at(row, col))) ++differing;
+      }
+    }
+    if (differing > 0) {
+      std::fprintf(stderr,
+                   "CHECK FAIL: %s and %s grids differ in %" PRId64
+                   " cells at k=%d\n",
+                   series[0].name.c_str(), series[1].name.c_str(), differing,
+                   series[0].points[i].k);
+      ok = false;
     }
   }
 

@@ -73,11 +73,14 @@ std::vector<int> ChunkLayout::ChunkBase(ChunkId id) const {
   return cc;
 }
 
-int ChunkLayout::InExtentSize(ChunkId id, int dim) const {
+int ChunkLayout::ChunkCoord(ChunkId id, int dim) const {
   assert(dim >= 0 && dim < num_dims());
   for (int d = num_dims() - 1; d > dim; --d) id /= chunks_per_dim_[d];
-  const int base =
-      static_cast<int>(id % chunks_per_dim_[dim]) * chunk_sizes_[dim];
+  return static_cast<int>(id % chunks_per_dim_[dim]);
+}
+
+int ChunkLayout::InExtentSize(ChunkId id, int dim) const {
+  const int base = ChunkCoord(id, dim) * chunk_sizes_[dim];
   return std::min(chunk_sizes_[dim], extents_[dim] - base);
 }
 

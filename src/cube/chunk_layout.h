@@ -48,6 +48,8 @@ class ChunkLayout {
 
   // Chunk-grid coordinates of a chunk id and back.
   std::vector<int> ChunkCoords(ChunkId id) const;
+  // ChunkCoords(id)[dim], without building the vector.
+  int ChunkCoord(ChunkId id, int dim) const;
   ChunkId ChunkIdAt(const std::vector<int>& chunk_coords) const;
 
   // First cell coordinate covered by the chunk, per dimension.

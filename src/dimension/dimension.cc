@@ -25,8 +25,30 @@ MemberId Dimension::AddMemberInternal(std::string name, MemberId parent,
   by_lower_name_[ToLower(m.name)] = m.id;
   if (parent != kInvalidMember) members_[parent].children.push_back(m.id);
   members_.push_back(std::move(m));
+  chain_.emplace_back();
   InvalidateLeafCache();
   return members_.back().id;
+}
+
+InstanceId Dimension::PushInstance(MemberId m, MemberId parent,
+                                   DynamicBitset validity) {
+  const InstanceId id = static_cast<InstanceId>(instances_.size());
+  MemberInstance inst;
+  inst.id = id;
+  inst.member = m;
+  inst.parent = parent;
+  inst.validity = std::move(validity);
+  inst.qualified_name = QualifiedName(m, parent);
+  instances_.push_back(std::move(inst));
+  next_instance_.push_back(kInvalidInstance);
+  InstanceChain& chain = chain_[m];
+  if (chain.last == kInvalidInstance) {
+    chain.first = id;
+  } else {
+    next_instance_[chain.last] = id;
+  }
+  chain.last = id;
+  return id;
 }
 
 Result<MemberId> Dimension::AddMember(std::string name, MemberId parent,
@@ -41,27 +63,18 @@ Result<MemberId> Dimension::AddMember(std::string name, MemberId parent,
   // Adding a child to a leaf that already holds data positions would shift
   // the position meaning of a varying dimension; we allow it at metadata
   // build time (before any instance of `parent` exists as a leaf-instance).
-  if (is_varying()) {
-    for (const MemberInstance& inst : instances_) {
-      if (inst.member == parent) {
-        return Status::FailedPrecondition(
-            "cannot turn instanced leaf '" + members_[parent].name +
-            "' into an inner member of varying dimension '" + name_ + "'");
-      }
-    }
+  if (is_varying() && chain_[parent].first != kInvalidInstance) {
+    return Status::FailedPrecondition(
+        "cannot turn instanced leaf '" + members_[parent].name +
+        "' into an inner member of varying dimension '" + name_ + "'");
   }
   MemberId id = AddMemberInternal(std::move(name), parent, weight);
   // In a varying dimension every new leaf starts with a single instance that
   // is valid at every moment (the paper's initial, unchanged structure).
   if (is_varying()) {
-    MemberInstance inst;
-    inst.id = static_cast<InstanceId>(instances_.size());
-    inst.member = id;
-    inst.parent = members_[id].parent;
-    inst.validity = DynamicBitset(parameter_leaf_count_);
-    inst.validity.SetAll();
-    inst.qualified_name = QualifiedName(id, inst.parent);
-    instances_.push_back(std::move(inst));
+    DynamicBitset everywhere(parameter_leaf_count_);
+    everywhere.SetAll();
+    PushInstance(id, parent, std::move(everywhere));
   }
   return id;
 }
@@ -79,14 +92,10 @@ Result<MemberId> Dimension::AddInnerMember(std::string name, MemberId parent,
     return Status::AlreadyExists("member '" + name + "' already exists in dimension '" +
                                  name_ + "'");
   }
-  if (is_varying()) {
-    for (const MemberInstance& inst : instances_) {
-      if (inst.member == parent) {
-        return Status::FailedPrecondition(
-            "cannot turn instanced leaf '" + members_[parent].name +
-            "' into an inner member of varying dimension '" + name_ + "'");
-      }
-    }
+  if (is_varying() && chain_[parent].first != kInvalidInstance) {
+    return Status::FailedPrecondition(
+        "cannot turn instanced leaf '" + members_[parent].name +
+        "' into an inner member of varying dimension '" + name_ + "'");
   }
   return AddMemberInternal(std::move(name), parent, weight);
 }
@@ -278,15 +287,10 @@ Status Dimension::MakeVarying(int parameter_leaf_count, bool ordered) {
   parameter_leaf_count_ = parameter_leaf_count;
   ordered_parameter_ = ordered;
   // Existing leaves each get a single everywhere-valid instance.
+  DynamicBitset everywhere(parameter_leaf_count_);
+  everywhere.SetAll();
   for (MemberId leaf : Leaves()) {
-    MemberInstance inst;
-    inst.id = static_cast<InstanceId>(instances_.size());
-    inst.member = leaf;
-    inst.parent = members_[leaf].parent;
-    inst.validity = DynamicBitset(parameter_leaf_count_);
-    inst.validity.SetAll();
-    inst.qualified_name = QualifiedName(leaf, inst.parent);
-    instances_.push_back(std::move(inst));
+    PushInstance(leaf, members_[leaf].parent, everywhere);
   }
   return Status::Ok();
 }
@@ -323,23 +327,15 @@ Status Dimension::ApplyChangeAt(MemberId m, MemberId new_parent,
   }
 
   // Remove the reassigned moments from every instance of m...
-  for (MemberInstance& inst : instances_) {
-    if (inst.member == m) inst.validity.Subtract(moments);
-  }
+  ForEachInstanceOf(
+      m, [&](InstanceId i) { instances_[i].validity.Subtract(moments); });
   // ...and give them to the instance under new_parent. An instance with the
   // identical root-to-leaf path is reused (Sec. 3.1: "the root-to-leaf path
   // of this new instance of d is identical to that of d1, so it is treated
   // as d1").
   InstanceId target = FindInstance(m, new_parent);
   if (target == kInvalidInstance) {
-    MemberInstance inst;
-    inst.id = static_cast<InstanceId>(instances_.size());
-    inst.member = m;
-    inst.parent = new_parent;
-    inst.validity = DynamicBitset(parameter_leaf_count_);
-    inst.qualified_name = QualifiedName(m, new_parent);
-    instances_.push_back(std::move(inst));
-    target = instances_.back().id;
+    target = PushInstance(m, new_parent, DynamicBitset(parameter_leaf_count_));
   }
   instances_[target].validity |= moments;
   return Status::Ok();
@@ -352,40 +348,39 @@ Status Dimension::Deactivate(MemberId m, const DynamicBitset& moments) {
   if (moments.size() != parameter_leaf_count_) {
     return Status::InvalidArgument("moment set has wrong universe size");
   }
-  for (MemberInstance& inst : instances_) {
-    if (inst.member == m) inst.validity.Subtract(moments);
-  }
+  ForEachInstanceOf(
+      m, [&](InstanceId i) { instances_[i].validity.Subtract(moments); });
   return Status::Ok();
 }
 
 std::vector<InstanceId> Dimension::InstancesOf(MemberId m) const {
   std::vector<InstanceId> out;
-  for (const MemberInstance& inst : instances_) {
-    if (inst.member == m) out.push_back(inst.id);
-  }
+  ForEachInstanceOf(m, [&out](InstanceId i) { out.push_back(i); });
   return out;
 }
 
 InstanceId Dimension::InstanceValidAt(MemberId m, int moment) const {
-  for (const MemberInstance& inst : instances_) {
-    if (inst.member == m && inst.validity.Test(moment)) return inst.id;
+  if (m < 0 || m >= num_members()) return kInvalidInstance;
+  for (InstanceId i = chain_[m].first; i != kInvalidInstance;
+       i = next_instance_[i]) {
+    if (instances_[i].validity.Test(moment)) return i;
   }
   return kInvalidInstance;
 }
 
 InstanceId Dimension::FindInstance(MemberId m, MemberId parent) const {
-  for (const MemberInstance& inst : instances_) {
-    if (inst.member == m && inst.parent == parent) return inst.id;
+  if (m < 0 || m >= num_members()) return kInvalidInstance;
+  for (InstanceId i = chain_[m].first; i != kInvalidInstance;
+       i = next_instance_[i]) {
+    if (instances_[i].parent == parent) return i;
   }
   return kInvalidInstance;
 }
 
 std::vector<MemberId> Dimension::ChangingMembers() const {
   std::vector<MemberId> out;
-  std::vector<int> count(members_.size(), 0);
-  for (const MemberInstance& inst : instances_) ++count[inst.member];
   for (MemberId id = 0; id < num_members(); ++id) {
-    if (count[id] > 1) out.push_back(id);
+    if (chain_[id].first != chain_[id].last) out.push_back(id);
   }
   return out;
 }
@@ -407,14 +402,7 @@ Result<InstanceId> Dimension::AddInstance(MemberId m, MemberId parent,
   if (FindInstance(m, parent) != kInvalidInstance) {
     return Status::AlreadyExists("instance with this path already exists");
   }
-  MemberInstance inst;
-  inst.id = static_cast<InstanceId>(instances_.size());
-  inst.member = m;
-  inst.parent = parent;
-  inst.validity = std::move(validity);
-  inst.qualified_name = QualifiedName(m, parent);
-  instances_.push_back(std::move(inst));
-  return instances_.back().id;
+  return PushInstance(m, parent, std::move(validity));
 }
 
 Status Dimension::RestoreVarying(int parameter_leaf_count, bool ordered,
@@ -425,8 +413,7 @@ Status Dimension::RestoreVarying(int parameter_leaf_count, bool ordered,
   if (parameter_leaf_count <= 0) {
     return Status::InvalidArgument("parameter_leaf_count must be positive");
   }
-  for (size_t i = 0; i < instances.size(); ++i) {
-    MemberInstance& inst = instances[i];
+  for (const MemberInstance& inst : instances) {
     if (inst.member < 0 || inst.member >= num_members() ||
         !members_[inst.member].is_leaf()) {
       return Status::InvalidArgument("restored instance member is not a leaf");
@@ -437,12 +424,16 @@ Status Dimension::RestoreVarying(int parameter_leaf_count, bool ordered,
     if (inst.validity.size() != parameter_leaf_count) {
       return Status::InvalidArgument("restored validity set has wrong universe");
     }
-    inst.id = static_cast<InstanceId>(i);
-    inst.qualified_name = QualifiedName(inst.member, inst.parent);
   }
   parameter_leaf_count_ = parameter_leaf_count;
   ordered_parameter_ = ordered;
-  instances_ = std::move(instances);
+  // Not varying, so instances_ and every chain are still empty: ids are
+  // re-assigned by position as each instance is pushed.
+  instances_.reserve(instances.size());
+  next_instance_.reserve(instances.size());
+  for (MemberInstance& inst : instances) {
+    PushInstance(inst.member, inst.parent, std::move(inst.validity));
+  }
   return Status::Ok();
 }
 

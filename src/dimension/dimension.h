@@ -189,8 +189,21 @@ class Dimension {
   const MemberInstance& instance(InstanceId id) const { return instances_[id]; }
   const std::vector<MemberInstance>& instances() const { return instances_; }
 
-  // Instances of leaf `m`, in creation order.
+  // Instances of leaf `m`, in creation order. This, ForEachInstanceOf and
+  // the two lookups below walk `m`'s own instance chain: O(instances of m),
+  // not O(num_instances()).
   std::vector<InstanceId> InstancesOf(MemberId m) const;
+
+  // Calls fn(id) for each instance of `m`, in creation order, without
+  // building a vector.
+  template <typename Fn>
+  void ForEachInstanceOf(MemberId m, Fn&& fn) const {
+    if (m < 0 || m >= num_members()) return;
+    for (InstanceId i = chain_[m].first; i != kInvalidInstance;
+         i = next_instance_[i]) {
+      fn(i);
+    }
+  }
 
   // The unique instance d_t of `m` valid at `moment`, or kInvalidInstance.
   InstanceId InstanceValidAt(MemberId m, int moment) const;
@@ -239,7 +252,17 @@ class Dimension {
   std::string PositionLabel(int pos) const;
 
  private:
+  // First and last instance of one member's chain (kInvalidInstance when
+  // the member has none).
+  struct InstanceChain {
+    InstanceId first = kInvalidInstance;
+    InstanceId last = kInvalidInstance;
+  };
+
   MemberId AddMemberInternal(std::string name, MemberId parent, double weight);
+  // Appends an instance of `m` under `parent` to instances_ and to m's
+  // chain; returns its id.
+  InstanceId PushInstance(MemberId m, MemberId parent, DynamicBitset validity);
   void InvalidateLeafCache();
   std::string QualifiedName(MemberId m, MemberId parent) const;
 
@@ -252,6 +275,13 @@ class Dimension {
   int parameter_leaf_count_ = 0;  // 0 => not varying.
   bool ordered_parameter_ = false;
   std::vector<MemberInstance> instances_;
+  // Per-member instance index: chain_[m] holds m's first and last instance,
+  // next_instance_[i] the instance of the same member created after i.
+  // Every mutator keeps it current (never rebuilt lazily: pool threads read
+  // dimensions concurrently), and a copy costs two flat vectors, not one
+  // allocation per member.
+  std::vector<InstanceChain> chain_;         // Indexed by MemberId.
+  std::vector<InstanceId> next_instance_;    // Indexed by InstanceId.
 
   mutable bool leaf_cache_valid_ = false;
   mutable std::vector<MemberId> leaf_cache_;

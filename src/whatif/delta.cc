@@ -350,6 +350,7 @@ Status IncrementalScenario::RecomputeFrom(size_t first_stage,
                                           const ScenarioEvalOptions& opts) {
   // Any recompute may reshape the output layout or instance map.
   closure_index_.reset();
+  sub_.reset();
   const size_t n = specs_.size();
   if (n <= 1) {
     // Single-spec (or identity) stacks go through the algebra whole — the
@@ -429,14 +430,32 @@ Status IncrementalScenario::TryIncrementalRefresh(const DeltaBatch& batch,
   // Re-run the same scenario over just the closure's input chunks. The
   // locality argument (file header) makes each affected output chunk's
   // recomputed bytes identical to a full recompute's.
-  CubeOptions sub_options;
-  sub_options.chunk_sizes = base_->layout().chunk_sizes();
-  Cube sub(base_->schema(), sub_options);
+  if (!sub_.has_value()) {
+    CubeOptions sub_options;
+    sub_options.chunk_sizes = base_->layout().chunk_sizes();
+    sub_.emplace(base_->schema(), sub_options);
+  }
+  Cube& sub = *sub_;
   for (ChunkId id : closure->input_chunks) {
     if (const Chunk* c = base_->FindChunk(id)) {
       sub.AdoptChunk(id, Chunk(*c));
     }
   }
+  // Leaves sub_ empty again on every exit path.
+  class EraseOnExit {
+   public:
+    EraseOnExit(Cube* cube, const std::vector<ChunkId>* ids)
+        : cube_(cube), ids_(ids) {}
+    EraseOnExit(const EraseOnExit&) = delete;
+    EraseOnExit& operator=(const EraseOnExit&) = delete;
+    ~EraseOnExit() {
+      for (ChunkId id : *ids_) cube_->EraseChunk(id);
+    }
+
+   private:
+    Cube* cube_;
+    const std::vector<ChunkId>* ids_;
+  } erase_sub(&sub, &closure->input_chunks);
   ScenarioEvalOptions sub_opts;
   sub_opts.strategy = opts.strategy;
   // A closure of a few chunks does not amortize worker spin-up; clamp the

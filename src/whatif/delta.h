@@ -243,6 +243,10 @@ class IncrementalScenario {
   // built lazily on the first refresh and dropped whenever the output is
   // recomputed (its layout or instance map may have changed).
   std::optional<DeltaClosureIndex> closure_index_;
+  // The sub-recompute's input cube: the base schema holding no chunks
+  // between refreshes. Built once, because copying the schema is most of
+  // a small refresh's fixed cost.
+  std::optional<Cube> sub_;
   // Output cube of every spec but the last (the last lives in pc_). Reused
   // by UpdateSpec's suffix re-lowering.
   std::vector<Cube> intermediates_;

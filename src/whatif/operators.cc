@@ -764,15 +764,48 @@ Status ApplyIntroductions(Schema* schema, int varying_dim,
 
 namespace {
 
+// The source cells a seeding rule copies from: coordinates and value.
+using SeedMoves = std::vector<std::pair<std::vector<int>, double>>;
+
+// Appends to `moves` every cell of `source`'s instances in `cube` at
+// moments >= from_moment where the instance is valid, visiting only the
+// stored chunks whose varying-dimension chunk coordinate holds one of
+// those instances.
+void CollectSeedCells(const Cube& cube, int varying_dim, MemberId source,
+                      int from_moment, SeedMoves* moves) {
+  const Dimension& d = cube.schema().dimension(varying_dim);
+  const int param_dim = cube.schema().parameter_of(varying_dim);
+  const ChunkLayout& layout = cube.layout();
+  std::vector<bool> column(layout.chunks_per_dim()[varying_dim], false);
+  for (InstanceId i : d.InstancesOf(source)) {
+    column[i / layout.chunk_sizes()[varying_dim]] = true;
+  }
+  cube.ForEachChunkWhile([&](ChunkId id, const Chunk& chunk) {
+    if (!column[layout.ChunkCoord(id, varying_dim)]) return true;
+    layout.ForEachCellInChunk(id, [&](const std::vector<int>& coords,
+                                      int64_t off) {
+      if (chunk.IsNull(off)) return;
+      const MemberInstance& inst = d.instance(coords[varying_dim]);
+      if (inst.member != source) return;
+      const int t = coords[param_dim];
+      if (t < from_moment) return;          // Outside the epoch.
+      if (!inst.validity.Test(t)) return;   // Data at an invalid instance.
+      moves->emplace_back(coords, chunk.ValueAt(off));
+    });
+    return true;
+  });
+}
+
 // The seeding half of Introduce, applied to the already-widened cube.
-// Strictly serial and ordered (specs in order; cells in coordinate order),
-// so the kernel path and the reference path share it verbatim.
+// Strictly serial and ordered (specs in order; cells in coordinate order).
+// `collect(cube, varying_dim, source, from_moment, &moves)` gathers a
+// rule's source cells in any order: the operator passes CollectSeedCells,
+// the reference a whole-cube scan.
+template <typename Collect>
 Status SeedIntroducedCells(Cube* out, int varying_dim,
                            const std::vector<NewMemberSpec>& specs,
-                           int64_t* cells_seeded) {
-  const Schema& schema = out->schema();
-  const Dimension& d = schema.dimension(varying_dim);
-  const int param_dim = schema.parameter_of(varying_dim);
+                           int64_t* cells_seeded, Collect&& collect) {
+  const Dimension& d = out->schema().dimension(varying_dim);
   for (const NewMemberSpec& spec : specs) {
     if (spec.inner || spec.seed == NewMemberSpec::Seed::kNone) continue;
     const bool transfer = spec.seed == NewMemberSpec::Seed::kTransfer;
@@ -801,16 +834,9 @@ Status SeedIntroducedCells(Cube* out, int varying_dim,
     if (spec.factor == 0.0) continue;  // Zero delta: introduced empty.
 
     // Collect first (mutating while iterating is unsound), then apply in
-    // coordinate order so the result is independent of chunk-map order.
-    std::vector<std::pair<std::vector<int>, double>> moves;
-    out->ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
-      const MemberInstance& inst = d.instance(coords[varying_dim]);
-      if (inst.member != *source) return;
-      const int t = coords[param_dim];
-      if (t < spec.from_moment) return;     // Outside the epoch.
-      if (!inst.validity.Test(t)) return;   // Data at an invalid instance.
-      moves.emplace_back(coords, v.value());
-    });
+    // coordinate order so the result is independent of visit order.
+    SeedMoves moves;
+    collect(*out, varying_dim, *source, spec.from_moment, &moves);
     std::sort(moves.begin(), moves.end());
     int64_t seeded = 0;
     std::vector<int> dst_coords;
@@ -862,7 +888,8 @@ Result<Cube> IntroduceMembers(const Cube& in, int varying_dim,
     op_span.SetError(s);
     return s;
   }
-  Status seeded = SeedIntroducedCells(&out, varying_dim, specs, cells_seeded);
+  Status seeded = SeedIntroducedCells(&out, varying_dim, specs, cells_seeded,
+                                      CollectSeedCells);
   if (!seeded.ok()) {
     op_span.SetError(seeded);
     return seeded;
@@ -879,7 +906,22 @@ Result<Cube> IntroduceMembersReference(const Cube& in, int varying_dim,
   Cube out(schema_out, OptionsOf(in));
   in.ForEachCell(
       [&](const std::vector<int>& coords, CellValue v) { out.SetCell(coords, v); });
-  Status seeded = SeedIntroducedCells(&out, varying_dim, specs, cells_seeded);
+  // Seeds from a scan of every stored cell, independent of the instance
+  // index and the chunk filter CollectSeedCells relies on.
+  Status seeded = SeedIntroducedCells(
+      &out, varying_dim, specs, cells_seeded,
+      [](const Cube& cube, int dim, MemberId source, int from_moment,
+         SeedMoves* moves) {
+        const Dimension& d = cube.schema().dimension(dim);
+        const int param_dim = cube.schema().parameter_of(dim);
+        cube.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
+          const MemberInstance& inst = d.instance(coords[dim]);
+          if (inst.member != source) return;
+          const int t = coords[param_dim];
+          if (t < from_moment || !inst.validity.Test(t)) return;
+          moves->emplace_back(coords, v.value());
+        });
+      });
   if (!seeded.ok()) return seeded;
   return out;
 }

@@ -123,24 +123,23 @@ PebbleResult HeuristicPebble(const MergeGraph& g) {
 int PeakPebblesForOrder(const MergeGraph& g, const std::vector<int>& order) {
   const int n = g.num_nodes();
   assert(static_cast<int>(order.size()) == n);
-  std::vector<bool> in_p(n, false), in_q(n, false);
-  int q_count = 0, peak = 0;
-  for (int v : order) {
-    in_p[v] = true;
-    in_q[v] = true;
-    ++q_count;
-    peak = std::max(peak, q_count);
-    bool removed = true;
-    while (removed) {
-      removed = false;
-      for (int u = 0; u < n; ++u) {
-        if (in_q[u] && Removable(g, in_p, u)) {
-          in_q[u] = false;
-          --q_count;
-          removed = true;
-        }
-      }
-    }
+  // A node's pebble stays on from its own placement through the placement
+  // of its last neighbour, i.e. over the ranks [rank(v), max rank among v
+  // and its neighbours]; the peak is the deepest overlap of those
+  // intervals, found with one difference-array sweep.
+  std::vector<int> rank(n);
+  for (int i = 0; i < n; ++i) rank[order[i]] = i;
+  std::vector<int> delta(n + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    int release = rank[v];
+    for (int w : g.neighbors(v)) release = std::max(release, rank[w]);
+    ++delta[rank[v]];
+    --delta[release + 1];
+  }
+  int live = 0, peak = 0;
+  for (int i = 0; i < n; ++i) {
+    live += delta[i];
+    peak = std::max(peak, live);
   }
   return peak;
 }

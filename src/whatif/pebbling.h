@@ -32,10 +32,10 @@ struct PebbleResult {
 // max_degree + 1 pebbles.
 PebbleResult HeuristicPebble(const MergeGraph& g);
 
-// Simulates pebbling the nodes in exactly the given order (placing one
-// pebble per step and greedily removing every removable pebble after each
-// placement); returns the peak. Used to evaluate naive chunk-read orders
-// against the heuristic.
+// The peak pebble count of pebbling the nodes in exactly the given order
+// (one placement per step, every removable pebble removed after each
+// placement), computed in O(V + E). Used to evaluate naive chunk-read
+// orders against the heuristic.
 int PeakPebblesForOrder(const MergeGraph& g, const std::vector<int>& order);
 
 // Exhaustive branch-and-bound minimiser of the peak pebble count.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 namespace olap {
 
@@ -129,26 +128,28 @@ DynamicBitset Phi(const DynamicBitset& vs_in, const Perspectives& p,
   return DynamicBitset(vs_in.size());
 }
 
-std::vector<DynamicBitset> TransformValiditySets(const Dimension& dim,
-                                                 const Perspectives& p,
-                                                 Semantics semantics) {
+std::vector<DynamicBitset> TransformValiditySets(
+    const Dimension& dim, const Perspectives& p, Semantics semantics,
+    const std::vector<MemberId>& members) {
+  const int universe = dim.parameter_leaf_count();
+  std::vector<DynamicBitset> out(dim.num_instances());
   // Per-member activity: the union of the member's input validity sets.
   // Definitions 3.3/3.4 exclude from VSout "those moments t for which no
   // instance d_t exists in Cin" (e.g. the paper's Joe in May), so the pure
   // Φ result is masked by it.
-  std::unordered_map<MemberId, DynamicBitset> activity;
-  for (const MemberInstance& inst : dim.instances()) {
-    auto [it, inserted] = activity.try_emplace(
-        inst.member, DynamicBitset(dim.parameter_leaf_count()));
-    (void)inserted;
-    it->second |= inst.validity;
-  }
-  std::vector<DynamicBitset> out;
-  out.reserve(dim.num_instances());
-  for (const MemberInstance& inst : dim.instances()) {
-    DynamicBitset vs = Phi(inst.validity, p, semantics);
-    vs &= activity.at(inst.member);
-    out.push_back(std::move(vs));
+  auto transform = [&](MemberId m) {
+    DynamicBitset activity(universe);
+    dim.ForEachInstanceOf(
+        m, [&](InstanceId i) { activity |= dim.instance(i).validity; });
+    dim.ForEachInstanceOf(m, [&](InstanceId i) {
+      out[i] = Phi(dim.instance(i).validity, p, semantics);
+      out[i] &= activity;
+    });
+  };
+  if (members.empty()) {
+    for (MemberId m = 0; m < dim.num_members(); ++m) transform(m);
+  } else {
+    for (MemberId m : members) transform(m);
   }
   return out;
 }

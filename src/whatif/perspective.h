@@ -82,9 +82,12 @@ DynamicBitset Phi(const DynamicBitset& vs_in, const Perspectives& p,
 // are not active in the output cube (Definition 3.4). Each result is also
 // masked by the member's overall activity, because Definitions 3.3/3.4
 // exclude "those moments t for which no instance d_t exists in Cin".
-std::vector<DynamicBitset> TransformValiditySets(const Dimension& dim,
-                                                 const Perspectives& p,
-                                                 Semantics semantics);
+// A non-empty `members` limits the work to those members' instances; every
+// other entry is then a default-constructed (zero-universe) set, for
+// scoped computations that never read it.
+std::vector<DynamicBitset> TransformValiditySets(
+    const Dimension& dim, const Perspectives& p, Semantics semantics,
+    const std::vector<MemberId>& members = {});
 
 }  // namespace olap
 

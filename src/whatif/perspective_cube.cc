@@ -163,7 +163,8 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
 }
 
 // For MultipleMdx post-processing: the index of the single-perspective run
-// whose output governs moment t under the full semantics.
+// whose output governs moment t under the full semantics, or -1 when the
+// runs merge by union at t.
 int GoverningRun(const Perspectives& p, Semantics sem, int t) {
   const std::vector<int>& m = p.moments();
   switch (sem) {
@@ -171,19 +172,27 @@ int GoverningRun(const Perspectives& p, Semantics sem, int t) {
       return -1;  // Static merges by union; no per-moment governor.
     case Semantics::kForward:
     case Semantics::kExtendedForward: {
+      // Before Pmin, dynamic forward keeps the original assignment of every
+      // instance that survives *any* perspective, while each run keeps only
+      // the survivors of its own: the union of the runs. Extended forward
+      // hands those moments to the first perspective, i.e. run 0.
+      if (t < m.front() && sem == Semantics::kForward) return -1;
       int run = 0;
       for (int i = 0; i < p.size(); ++i) {
         if (m[i] <= t) run = i;
       }
-      return run;  // Moments before Pmin ride with run 0.
+      return run;
     }
     case Semantics::kBackward:
     case Semantics::kExtendedBackward: {
+      // The mirror image: after Pmax, dynamic backward merges by union and
+      // extended backward rides with the last run.
+      if (t > m.back() && sem == Semantics::kBackward) return -1;
       int run = p.size() - 1;
       for (int i = p.size() - 1; i >= 0; --i) {
         if (m[i] >= t) run = i;
       }
-      return run;  // Moments after Pmax ride with the last run.
+      return run;
     }
   }
   return 0;
@@ -341,8 +350,8 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
 
   if (strategy == EvalStrategy::kDirect) {
     // One pass: transform every validity set, then move the data.
-    std::vector<DynamicBitset> vs_out =
-        TransformValiditySets(dim, spec.perspectives, spec.semantics);
+    std::vector<DynamicBitset> vs_out = TransformValiditySets(
+        dim, spec.perspectives, spec.semantics, relocate_scope);
     ChargeRelocationScan(*base, spec.varying_dim, vs_out, scan_scope,
                          spec.pebbling_read_order, disk, stats, pipelined_io);
     Cube out = Relocate(*base, spec.varying_dim, vs_out, relocate_scope,

@@ -1,6 +1,11 @@
 #include "dimension/dimension.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace olap {
 namespace {
@@ -277,6 +282,217 @@ TEST(DimensionVaryingTest, AddInstanceRejectsDuplicatesAndInnerMembers) {
   EXPECT_EQ(org.AddInstance(fte, contractor, DynamicBitset(6)).status().code(),
             StatusCode::kInvalidArgument);
 }
+
+// ---- the per-member instance index against linear-scan oracles ----------
+//
+// Dimension answers InstancesOf / InstanceValidAt / FindInstance from a
+// per-member chain of instance ids. These scans over the whole instance
+// table are what it replaced; the fuzz below checks the chain against them
+// after every mutation, on copies too.
+
+std::vector<InstanceId> ScanInstancesOf(const Dimension& d, MemberId m) {
+  std::vector<InstanceId> out;
+  for (const MemberInstance& inst : d.instances()) {
+    if (inst.member == m) out.push_back(inst.id);
+  }
+  return out;
+}
+
+InstanceId ScanInstanceValidAt(const Dimension& d, MemberId m, int moment) {
+  for (const MemberInstance& inst : d.instances()) {
+    if (inst.member == m && inst.validity.Test(moment)) return inst.id;
+  }
+  return kInvalidInstance;
+}
+
+InstanceId ScanFindInstance(const Dimension& d, MemberId m, MemberId parent) {
+  for (const MemberInstance& inst : d.instances()) {
+    if (inst.member == m && inst.parent == parent) return inst.id;
+  }
+  return kInvalidInstance;
+}
+
+void ExpectIndexMatchesScan(const Dimension& d, const std::string& step) {
+  for (MemberId m = 0; m < d.num_members(); ++m) {
+    ASSERT_EQ(d.InstancesOf(m), ScanInstancesOf(d, m)) << step << " m=" << m;
+    for (int t = 0; t < d.parameter_leaf_count(); ++t) {
+      ASSERT_EQ(d.InstanceValidAt(m, t), ScanInstanceValidAt(d, m, t))
+          << step << " m=" << m << " t=" << t;
+    }
+    for (MemberId parent = 0; parent < d.num_members(); ++parent) {
+      ASSERT_EQ(d.FindInstance(m, parent), ScanFindInstance(d, m, parent))
+          << step << " m=" << m << " parent=" << parent;
+    }
+  }
+}
+
+// Everything observable about an instance table, for "the original did not
+// change" checks after mutating a copy.
+std::string InstanceTable(const Dimension& d) {
+  std::string out;
+  for (const MemberInstance& inst : d.instances()) {
+    out += std::to_string(inst.id) + ":" + std::to_string(inst.member) + "/" +
+           std::to_string(inst.parent) + "@" + inst.validity.ToString() + ";";
+  }
+  return out;
+}
+
+class InstanceIndexFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(InstanceIndexFuzzTest, ChainsMatchLinearScans) {
+  constexpr int kMoments = 8;
+  Rng rng(GetParam());
+  Dimension d("Org");
+  for (int g = 0; g < 4; ++g) {
+    MemberId group = *d.AddChildOfRoot("G" + std::to_string(g));
+    for (int e = 0; e < 3; ++e) {
+      ASSERT_TRUE(
+          d.AddMember("E" + std::to_string(g) + "_" + std::to_string(e), group)
+              .ok());
+    }
+  }
+  ASSERT_TRUE(d.MakeVarying(kMoments, /*ordered=*/true).ok());
+  ExpectIndexMatchesScan(d, "MakeVarying");
+
+  int next_name = 0;
+  auto pick = [&](bool leaf) {
+    std::vector<MemberId> out;
+    for (MemberId m = 1; m < d.num_members(); ++m) {
+      if (d.member(m).is_leaf() == leaf) out.push_back(m);
+    }
+    if (!leaf) out.push_back(d.root());
+    return out[rng.NextBelow(out.size())];
+  };
+  auto random_moments = [&]() {
+    DynamicBitset moments(kMoments);
+    for (int t = 0; t < kMoments; ++t) {
+      if (rng.NextBool(0.3)) moments.Set(t);
+    }
+    return moments;
+  };
+  // ApplyChangeAt of a random leaf to a random inner member: the mutation
+  // that can append an instance.
+  auto random_change = [&](Dimension* dim) {
+    std::vector<MemberId> leaves, inner;
+    for (MemberId m = 1; m < dim->num_members(); ++m) {
+      (dim->member(m).is_leaf() ? leaves : inner).push_back(m);
+    }
+    inner.push_back(dim->root());
+    return dim->ApplyChangeAt(leaves[rng.NextBelow(leaves.size())],
+                              inner[rng.NextBelow(inner.size())],
+                              random_moments());
+  };
+
+  for (int step = 0; step < 120; ++step) {
+    const int op = static_cast<int>(rng.NextBelow(9));
+    const std::string what = "step " + std::to_string(step) + " op " +
+                             std::to_string(op);
+    switch (op) {
+      case 0: {  // AddMember: a new leaf, or refused under an instanced leaf.
+        const MemberId parent = pick(rng.NextBool(0.3));
+        const bool instanced = d.member(parent).is_leaf() &&
+                               !ScanInstancesOf(d, parent).empty();
+        Result<MemberId> added =
+            d.AddMember("N" + std::to_string(next_name++), parent);
+        if (instanced) {
+          ASSERT_EQ(added.status().code(), StatusCode::kFailedPrecondition)
+              << what;
+          ASSERT_EQ(d.AddInnerMember("I" + std::to_string(next_name++), parent)
+                        .status()
+                        .code(),
+                    StatusCode::kFailedPrecondition)
+              << what;
+        } else {
+          ASSERT_TRUE(added.ok()) << what << " " << added.status().ToString();
+        }
+        break;
+      }
+      case 1: {  // AddInnerMember under an inner member: a leaf with no
+                 // instance until a change targets it.
+        ASSERT_TRUE(
+            d.AddInnerMember("I" + std::to_string(next_name++), pick(false))
+                .ok())
+            << what;
+        break;
+      }
+      case 2: {  // ApplyChange (ordered suffix).
+        Status s = d.ApplyChange(pick(true), pick(false),
+                                 static_cast<int>(rng.NextBelow(kMoments)));
+        ASSERT_TRUE(s.ok()) << what << " " << s.ToString();
+        break;
+      }
+      case 3: {  // ApplyChangeAt (arbitrary moment set).
+        Status s = random_change(&d);
+        ASSERT_TRUE(s.ok()) << what << " " << s.ToString();
+        break;
+      }
+      case 4: {  // AddInstance over the moments no instance of m holds.
+        const MemberId m = pick(true);
+        const MemberId parent = pick(false);
+        DynamicBitset free(kMoments);
+        for (int t = 0; t < kMoments; ++t) {
+          if (ScanInstanceValidAt(d, m, t) == kInvalidInstance) free.Set(t);
+        }
+        const bool exists = ScanFindInstance(d, m, parent) != kInvalidInstance;
+        Result<InstanceId> added = d.AddInstance(m, parent, free);
+        if (exists) {
+          ASSERT_EQ(added.status().code(), StatusCode::kAlreadyExists) << what;
+        } else {
+          ASSERT_TRUE(added.ok()) << what << " " << added.status().ToString();
+          ASSERT_EQ(*added, d.num_instances() - 1) << what;
+        }
+        break;
+      }
+      case 5: {  // Deactivate.
+        ASSERT_TRUE(d.Deactivate(pick(true), random_moments()).ok()) << what;
+        break;
+      }
+      case 6: {  // RestoreVarying into a rebuilt hierarchy, then copy-assign.
+        Dimension rebuilt("Org");
+        for (MemberId m = 1; m < d.num_members(); ++m) {
+          Result<MemberId> id = rebuilt.AddMember(d.member(m).name,
+                                                  d.member(m).parent);
+          ASSERT_TRUE(id.ok() && *id == m) << what;
+        }
+        ASSERT_TRUE(rebuilt.RestoreVarying(kMoments, true, d.instances()).ok())
+            << what;
+        ASSERT_EQ(InstanceTable(rebuilt), InstanceTable(d)) << what;
+        d = rebuilt;
+        break;
+      }
+      case 7: {  // Copy-construct, then mutate the copy only.
+        const std::string before = InstanceTable(d);
+        Dimension copy(d);
+        ExpectIndexMatchesScan(copy, what + " copy");
+        ASSERT_TRUE(random_change(&copy).ok()) << what;
+        ASSERT_TRUE(copy.AddMember("C" + std::to_string(next_name++),
+                                   copy.root())
+                        .ok())
+            << what;
+        ExpectIndexMatchesScan(copy, what + " mutated copy");
+        ASSERT_EQ(InstanceTable(d), before) << what;
+        break;
+      }
+      case 8: {  // Copy-assign over a populated dimension, mutate both.
+        Dimension other = d;
+        ASSERT_TRUE(random_change(&other).ok()) << what;
+        other = d;
+        ExpectIndexMatchesScan(other, what + " assigned");
+        const std::string before = InstanceTable(d);
+        ASSERT_TRUE(random_change(&other).ok()) << what;
+        ExpectIndexMatchesScan(other, what + " mutated assigned");
+        ASSERT_EQ(InstanceTable(d), before) << what;
+        ASSERT_TRUE(random_change(&d).ok()) << what;
+        break;
+      }
+    }
+    ExpectIndexMatchesScan(d, what);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InstanceIndexFuzzTest,
+                         ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace olap

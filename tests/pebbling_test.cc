@@ -47,13 +47,45 @@ MergeGraph Clique(int n) {
   return g;
 }
 
+// The step-by-step simulation PeakPebblesForOrder's interval sweep
+// replaced, kept as its oracle: place one pebble per step in `order`, then
+// remove every pebble whose neighbours have all been pebbled; the peak is
+// the largest count right after a placement. O(V^2 * deg).
+int SimulatedPeakPebbles(const MergeGraph& g, const std::vector<int>& order) {
+  const int n = g.num_nodes();
+  std::vector<bool> pebbled_ever(n, false), holding(n, false);
+  int held = 0, peak = 0;
+  for (int v : order) {
+    pebbled_ever[v] = true;
+    holding[v] = true;
+    peak = std::max(peak, ++held);
+    bool removed = true;
+    while (removed) {
+      removed = false;
+      for (int u = 0; u < n; ++u) {
+        if (!holding[u]) continue;
+        bool removable = true;
+        for (int w : g.neighbors(u)) removable = removable && pebbled_ever[w];
+        if (removable) {
+          holding[u] = false;
+          --held;
+          removed = true;
+        }
+      }
+    }
+  }
+  return peak;
+}
+
 void ExpectValidPebbling(const MergeGraph& g, const PebbleResult& r) {
   // Every node pebbled exactly once (Lemma 5.2).
   EXPECT_EQ(r.order.size(), static_cast<size_t>(g.num_nodes()));
   std::set<int> seen(r.order.begin(), r.order.end());
   EXPECT_EQ(seen.size(), static_cast<size_t>(g.num_nodes()));
-  // The reported peak matches a re-simulation of the order.
+  // The reported peak matches a re-simulation of the order, by the sweep
+  // and by the step-by-step oracle.
   EXPECT_EQ(PeakPebblesForOrder(g, r.order), r.peak_pebbles);
+  EXPECT_EQ(SimulatedPeakPebbles(g, r.order), r.peak_pebbles);
 }
 
 // "the graph in Fig. 9 can be pebbled using three pebbles but no fewer".
@@ -173,6 +205,48 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomGraphParams{6, 12, 0.3},
                       RandomGraphParams{7, 6, 0.8},
                       RandomGraphParams{8, 14, 0.2}));
+
+// PeakPebblesForOrder's interval sweep against the step-by-step oracle on
+// every order of the Fig. 9 graph and on random graphs x random orders,
+// including the heuristic's own orders.
+TEST(PebblingSweepTest, MatchesSimulationOnEveryFig9Order) {
+  MergeGraph g = Fig9();
+  std::vector<int> order = {0, 1, 2, 3, 4, 5, 6};
+  int orders = 0;
+  do {
+    ASSERT_EQ(PeakPebblesForOrder(g, order), SimulatedPeakPebbles(g, order));
+    ++orders;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orders, 5040);
+}
+
+TEST(PebblingSweepTest, MatchesSimulationOnRandomGraphsAndOrders) {
+  Rng rng(20080407);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int n = 1 + static_cast<int>(rng.NextBelow(40));
+    const double edge_prob = rng.NextDouble() * 0.3;
+    MergeGraph g;
+    for (int i = 0; i < n; ++i) g.AddNode(i * 7);
+    for (int i = 0; i < n; ++i) {
+      for (int j = i + 1; j < n; ++j) {
+        if (rng.NextBool(edge_prob)) g.AddEdgeByIndex(i, j);
+      }
+    }
+    PebbleResult heuristic = HeuristicPebble(g);
+    ASSERT_EQ(PeakPebblesForOrder(g, heuristic.order),
+              SimulatedPeakPebbles(g, heuristic.order))
+        << "trial " << trial;
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i) order[i] = i;
+    for (int shuffle = 0; shuffle < 5; ++shuffle) {
+      for (int i = n - 1; i > 0; --i) {
+        std::swap(order[i], order[rng.NextBelow(static_cast<uint64_t>(i) + 1)]);
+      }
+      ASSERT_EQ(PeakPebblesForOrder(g, order), SimulatedPeakPebbles(g, order))
+          << "trial " << trial << " shuffle " << shuffle;
+    }
+  }
+}
 
 // The ablation hook: a bad read order on Fig. 9 costs more pebbles than the
 // heuristic's order (the paper's "order 1-10" discussion).

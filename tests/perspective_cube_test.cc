@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "workload/paper_example.h"
 #include "workload/product.h"
+#include "workload/workforce.h"
 
 namespace olap {
 namespace {
@@ -147,6 +149,106 @@ INSTANTIATE_TEST_SUITE_P(
         if (c == ' ') c = '_';
       }
       return name + "_" + std::to_string(std::get<1>(info.param));
+    });
+
+// The same equivalence on a workforce cube whose members revisit
+// departments (the generator's default), where the paper example has no
+// revisits: 40 seeded perspective sets of 1-5 months per semantics and
+// mode, scoped to the changing employees as the executor scopes a query
+// over them. Under DYNAMIC FORWARD the moments before Pmin keep the
+// original assignment of every instance that survives *any* perspective
+// (and after Pmax under DYNAMIC BACKWARD), so the single-perspective runs
+// must merge there by union, not hand those moments to one run.
+class RevisitStrategyEquivalence
+    : public ::testing::TestWithParam<std::tuple<Semantics, EvalMode>> {};
+
+// Cells holding a value in one cube and ⊥ or a different value in the other.
+int64_t CountDifferingCells(const Cube& a, const Cube& b) {
+  int64_t differing = 0;
+  a.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
+    if (!(b.GetCell(coords) == v)) ++differing;
+  });
+  b.ForEachChunkCell([&](const std::vector<int>& coords, CellValue) {
+    if (a.GetCell(coords).is_null()) ++differing;
+  });
+  return differing;
+}
+
+TEST_P(RevisitStrategyEquivalence, MultipleMdxMatchesDirect) {
+  auto [sem, mode] = GetParam();
+  WorkforceConfig config;
+  config.num_departments = 10;
+  config.num_employees = 120;
+  config.num_changing = 40;
+  config.num_measures = 2;
+  config.num_scenarios = 1;
+  config.seed = 7;
+  WorkforceCube wf = BuildWorkforceCube(config);
+  // The comparison only bites when some member revisits a department: an
+  // instance whose validity set is not one interval.
+  bool has_revisit = false;
+  for (const MemberInstance& inst :
+       wf.cube.schema().dimension(wf.dept_dim).instances()) {
+    std::vector<int> v = inst.validity.ToVector();
+    if (!v.empty() && v.back() - v.front() + 1 != static_cast<int>(v.size())) {
+      has_revisit = true;
+    }
+  }
+  ASSERT_TRUE(has_revisit);
+  Rng rng(static_cast<uint64_t>(sem) * 2 + static_cast<uint64_t>(mode) + 1);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<int> moments;
+    const int k = static_cast<int>(rng.NextInRange(1, 5));
+    for (int i = 0; i < k; ++i) {
+      moments.push_back(static_cast<int>(rng.NextBelow(config.num_months)));
+    }
+    WhatIfSpec spec;
+    spec.varying_dim = wf.dept_dim;
+    spec.perspectives = Perspectives(moments);
+    spec.semantics = sem;
+    spec.mode = mode;
+    spec.scope_members = wf.changing_employees;
+    const std::string what = std::string(SemanticsName(sem)) + " " +
+                             EvalModeName(mode) + " " +
+                             spec.perspectives.ToString();
+
+    Result<PerspectiveCube> direct =
+        ComputePerspectiveCube(wf.cube, spec, EvalStrategy::kDirect);
+    Result<PerspectiveCube> multi =
+        ComputePerspectiveCube(wf.cube, spec, EvalStrategy::kMultipleMdx);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ASSERT_TRUE(multi.ok()) << multi.status().ToString();
+    EXPECT_EQ(CountDifferingCells(direct->output(), multi->output()), 0)
+        << what;
+    const Dimension& d_dir = direct->output().schema().dimension(wf.dept_dim);
+    const Dimension& d_mul = multi->output().schema().dimension(wf.dept_dim);
+    ASSERT_EQ(d_dir.num_instances(), d_mul.num_instances());
+    int differing_validity = 0;
+    for (InstanceId i = 0; i < d_dir.num_instances(); ++i) {
+      if (!(d_dir.instance(i).validity == d_mul.instance(i).validity)) {
+        ++differing_validity;
+      }
+    }
+    EXPECT_EQ(differing_validity, 0) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSemanticsAndModes, RevisitStrategyEquivalence,
+    ::testing::Combine(::testing::Values(Semantics::kStatic, Semantics::kForward,
+                                         Semantics::kExtendedForward,
+                                         Semantics::kBackward,
+                                         Semantics::kExtendedBackward),
+                       ::testing::Values(EvalMode::kNonVisual,
+                                         EvalMode::kVisual)),
+    [](const ::testing::TestParamInfo<std::tuple<Semantics, EvalMode>>& info) {
+      std::string name = SemanticsName(std::get<0>(info.param));
+      name += std::get<1>(info.param) == EvalMode::kVisual ? "_VISUAL"
+                                                           : "_NONVISUAL";
+      for (char& c : name) {
+        if (c == ' ') c = '_';
+      }
+      return name;
     });
 
 TEST_F(PerspectiveCubeTest, PositiveChangesOnly) {
