@@ -1,7 +1,9 @@
 #include "agg/aggregate_cache.h"
 
+#include <algorithm>
 #include <numeric>
 
+#include "agg/kernels.h"
 #include "common/metrics.h"
 
 namespace olap {
@@ -26,47 +28,64 @@ struct CacheMetrics {
   }
 };
 
-// Restores ⊥ on every cell of `view` inside the projection box of chunk
-// `id` whose contribution count is zero. The box (per kept dimension, the
-// chunk's clipped coordinate range) is the only region a chunk swap can
-// have zeroed.
-void SweepZeroCounts(const ChunkLayout& layout, ChunkId id,
-                     GroupByResult* view, const int32_t* counts) {
-  const double null_storage = CellValue::ToStorage(CellValue::Null());
-  const std::vector<int>& kept = view->kept_dims();
-  double* cells = view->mutable_raw_cells();
-  if (kept.empty()) {
-    if (counts[0] == 0) cells[0] = null_storage;
+// Adds to `counts` (one counter per cell of `view`) the number of non-⊥
+// cells of `chunk` (chunk id `id` of `layout`) that project onto each view
+// cell: the contribution-count sidecar's build pass. Walks the chunk in
+// last-dimension rows like AccumulateChunkIntoGroupBys, skipping rows and
+// cells outside the layout extents.
+void CountChunkIntoGroupBy(const ChunkLayout& layout, ChunkId id,
+                           const Chunk& chunk, const GroupByResult& view,
+                           int32_t* counts) {
+  const int n = layout.num_dims();
+  if (n == 0) {
+    if (chunk.size() > 0 && !chunk.IsNull(0)) ++counts[0];
     return;
   }
-  const std::vector<int> base = layout.ChunkBase(id);
+  const std::vector<int>& extents = layout.extents();
   const std::vector<int>& csize = layout.chunk_sizes();
-  const size_t k = kept.size();
-  std::vector<int> lo(k), hi(k), pos(k);
+  const std::vector<int> base = layout.ChunkBase(id);
+  std::vector<int64_t> stride(n, 0);
+  const std::vector<int>& kept = view.kept_dims();
+  for (size_t i = 0; i < kept.size(); ++i) stride[kept[i]] = view.strides()[i];
   int64_t idx = 0;
-  for (size_t i = 0; i < k; ++i) {
-    lo[i] = base[kept[i]];
-    hi[i] = std::min(base[kept[i]] + csize[kept[i]], view->extents()[i]);
-    if (lo[i] >= hi[i]) return;  // Fully padded projection: nothing stored.
-    pos[i] = lo[i];
-    idx += static_cast<int64_t>(lo[i]) * view->strides()[i];
-  }
-  const std::vector<int64_t>& strides = view->strides();
-  while (true) {
-    if (counts[idx] == 0) cells[idx] = null_storage;
-    size_t d = k;
-    bool done = true;
-    while (d-- > 0) {
-      ++pos[d];
-      idx += strides[d];
-      if (pos[d] < hi[d]) {
-        done = false;
+  for (int d = 0; d < n; ++d) idx += static_cast<int64_t>(base[d]) * stride[d];
+
+  const int last = n - 1;
+  const int row_cap = csize[last];
+  const int row_len = std::min(row_cap, extents[last] - base[last]);
+  const int64_t s = stride[last];
+  const uint64_t* bits = chunk.NullBits().words();
+  std::vector<int> coords = base;
+  int oob_dims = 0;  // #leading dims whose coordinate exceeds the extent.
+  const int64_t rows = layout.cells_per_chunk() / row_cap;
+  int64_t off = 0;
+  for (int64_t row = 0; row < rows; ++row, off += row_cap) {
+    if (oob_dims == 0 && row_len > 0) {
+      if (s == 0) {
+        counts[idx] +=
+            static_cast<int32_t>(kernels::PopcountRange(bits, off, row_len));
+      } else {
+        for (int k = 0; k < row_len; ++k) {
+          if (kernels::detail::TestBit(bits, off + k)) ++counts[idx + k * s];
+        }
+      }
+    }
+    int d = last - 1;
+    while (d >= 0) {
+      const bool was_oob = coords[d] >= extents[d];
+      ++coords[d];
+      idx += stride[d];
+      if (coords[d] < base[d] + csize[d]) {
+        oob_dims += static_cast<int>(coords[d] >= extents[d]) -
+                    static_cast<int>(was_oob);
         break;
       }
-      idx -= static_cast<int64_t>(pos[d] - lo[d]) * strides[d];
-      pos[d] = lo[d];
+      coords[d] = base[d];
+      idx -= static_cast<int64_t>(csize[d]) * stride[d];
+      oob_dims -= static_cast<int>(was_oob);
+      --d;
     }
-    if (done) break;
+    if (d < 0) break;
   }
 }
 
@@ -153,37 +172,10 @@ void AggregateCache::EnableIncrementalMaintenance(const Cube& cube) {
   cube.ForEachChunk([&](ChunkId id, const Chunk& chunk) {
     for (size_t g = 0; g < views_.size(); ++g) {
       if (!resident_[g]) continue;
-      AccumulateChunkIntoGroupByWeighted(layout, id, chunk, 1.0, &views_[g],
-                                         counts_[g].data(),
-                                         /*update_values=*/false);
+      CountChunkIntoGroupBy(layout, id, chunk, views_[g], counts_[g].data());
     }
   });
   incremental_ = true;
-}
-
-void AggregateCache::PatchChunkDelta(const ChunkLayout& layout, ChunkId id,
-                                     const Chunk* before, const Chunk* after) {
-  if (!incremental_) {
-    DropResidentViews();
-    return;
-  }
-  int64_t kept = 0;
-  for (size_t g = 0; g < views_.size(); ++g) {
-    if (!resident_[g]) continue;
-    GroupByResult* view = &views_[g];
-    int32_t* counts = counts_[g].data();
-    if (before != nullptr) {
-      AccumulateChunkIntoGroupByWeighted(layout, id, *before, -1.0, view,
-                                         counts);
-    }
-    if (after != nullptr) {
-      AccumulateChunkIntoGroupByWeighted(layout, id, *after, 1.0, view,
-                                         counts);
-    }
-    SweepZeroCounts(layout, id, view, counts);
-    ++kept;
-  }
-  CacheMetrics::Get().views_kept->Increment(kept);
 }
 
 void AggregateCache::PatchCellDelta(const std::vector<int>& coords,

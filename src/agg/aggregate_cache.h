@@ -114,27 +114,21 @@ class AggregateCache {
   // --- Incremental maintenance (fine-grained invalidation) ----------------
 
   // Builds the per-cell contribution-count sidecar (one int32 per view
-  // cell, one extra chunk pass over `cube`) that makes the Patch* calls
-  // below able to restore ⊥ exactly: a view cell whose count returns to
-  // zero has no contributing input cells left. Without this, any data edit
-  // drops the resident views wholesale (counted as views_dropped).
+  // cell, one extra chunk pass over `cube`) that makes PatchCellDelta
+  // able to restore ⊥ exactly: a view cell whose count returns to zero has
+  // no contributing input cells left. Without this, any data edit drops
+  // the resident views wholesale (counted as views_dropped).
   void EnableIncrementalMaintenance(const Cube& cube);
   bool incremental() const { return incremental_; }
 
-  // Propagates an in-place chunk swap of the cached cube into every
-  // resident view: subtract `before`'s cells (w = -1 through the same SIMD
-  // row tiling as the build), add `after`'s (w = +1), then restore ⊥ on
-  // cells whose contribution count hit zero. Either chunk pointer may be
-  // null (chunk created / erased). Surviving views count toward
-  // cache.invalidate.views_kept; a non-incremental cache instead drops its
-  // views (cache.invalidate.views_dropped). Exact (not just close) on
+  // Propagates one cell edit of the cached cube into every resident view:
+  // the cell at full-rank `coords` went from `old_storage` to `new_storage`
+  // (storage encoding, ⊥ = sentinel). Subtracts the old value, adds the
+  // new one and restores ⊥ on a view cell whose contribution count hit
+  // zero. Surviving views count toward cache.invalidate.views_kept; a
+  // non-incremental cache instead drops its views
+  // (cache.invalidate.views_dropped). Exact (not just close) on
   // integer-valued data — see DESIGN.md §14.
-  void PatchChunkDelta(const ChunkLayout& layout, ChunkId id,
-                       const Chunk* before, const Chunk* after);
-
-  // Single-cell variant for the Database edit feed: the cell at full-rank
-  // `coords` went from `old_storage` to `new_storage` (storage encoding,
-  // ⊥ = sentinel).
   void PatchCellDelta(const std::vector<int>& coords, double old_storage,
                       double new_storage);
 

@@ -161,101 +161,6 @@ void AccumulateChunkIntoGroupBys(const ChunkLayout& layout, ChunkId id,
   }
 }
 
-void AccumulateChunkIntoGroupByWeighted(const ChunkLayout& layout, ChunkId id,
-                                        const Chunk& chunk, double weight,
-                                        GroupByResult* view, int32_t* counts,
-                                        bool update_values) {
-  const int n = layout.num_dims();
-  const int step = weight < 0 ? -1 : 1;
-
-  if (n == 0) {
-    if (chunk.size() > 0 && !chunk.IsNull(0)) {
-      if (update_values) {
-        view->AccumulateAt(0, CellValue(weight * chunk.ValueAt(0)));
-      }
-      if (counts != nullptr) counts[0] += step;
-    }
-    return;
-  }
-
-  const std::vector<int>& extents = layout.extents();
-  const std::vector<int>& csize = layout.chunk_sizes();
-  const std::vector<int> base = layout.ChunkBase(id);
-  std::vector<int64_t> stride(n, 0);
-  const std::vector<int>& kept = view->kept_dims();
-  for (size_t i = 0; i < kept.size(); ++i) stride[kept[i]] = view->strides()[i];
-  int64_t gb_idx = 0;
-  for (int d = 0; d < n; ++d) {
-    gb_idx += static_cast<int64_t>(base[d]) * stride[d];
-  }
-
-  // Same row-tiled walk and oob defense as AccumulateChunkIntoGroupBys,
-  // specialized to one group-by with a weight and optional counters.
-  const int last = n - 1;
-  const int row_cap = csize[last];
-  const int row_len = std::min(row_cap, extents[last] - base[last]);
-  const double* vals = chunk.ValuesSpan();
-  const uint64_t* bits = chunk.NullBits().words();
-  std::vector<int> coords = base;
-  int oob_dims = 0;
-  const int64_t rows = layout.cells_per_chunk() / row_cap;
-  const int64_t s = stride[last];
-  int64_t off = 0;
-  for (int64_t row = 0; row < rows; ++row, off += row_cap) {
-    if (oob_dims == 0 && row_len > 0) {
-      if (s == 0) {
-        const kernels::RunSum row_sum =
-            kernels::MaskedRunSum(vals + off, bits, off, row_len);
-        if (row_sum.count > 0) {
-          if (update_values) {
-            view->AccumulateAt(gb_idx, CellValue(weight * row_sum.sum));
-          }
-          if (counts != nullptr) {
-            counts[gb_idx] += step * static_cast<int32_t>(row_sum.count);
-          }
-        }
-      } else if (s == 1) {
-        if (update_values) {
-          kernels::MergeWeightedRunIntoSentinel(
-              weight, vals + off, bits, off,
-              view->mutable_raw_cells() + gb_idx, row_len);
-        }
-        if (counts != nullptr) {
-          for (int k = 0; k < row_len; ++k) {
-            if (kernels::detail::TestBit(bits, off + k)) counts[gb_idx + k] += step;
-          }
-        }
-      } else {
-        for (int k = 0; k < row_len; ++k) {
-          if (kernels::detail::TestBit(bits, off + k)) {
-            if (update_values) {
-              view->AccumulateAt(gb_idx + k * s,
-                                 CellValue(weight * vals[off + k]));
-            }
-            if (counts != nullptr) counts[gb_idx + k * s] += step;
-          }
-        }
-      }
-    }
-    int d = last - 1;
-    while (d >= 0) {
-      const bool was_oob = coords[d] >= extents[d];
-      ++coords[d];
-      gb_idx += stride[d];
-      if (coords[d] < base[d] + csize[d]) {
-        oob_dims += static_cast<int>(coords[d] >= extents[d]) -
-                    static_cast<int>(was_oob);
-        break;
-      }
-      coords[d] = base[d];
-      gb_idx -= static_cast<int64_t>(csize[d]) * stride[d];
-      oob_dims -= static_cast<int>(was_oob);
-      --d;
-    }
-    if (d < 0) break;
-  }
-}
-
 GroupByResult MakeGroupByShell(const Cube& cube, GroupByMask mask) {
   std::vector<int> kept, extents;
   for (int d = 0; d < cube.num_dims(); ++d) {

@@ -97,24 +97,6 @@ void AccumulateChunkIntoGroupBys(const ChunkLayout& layout, ChunkId id,
                                  const Chunk& chunk,
                                  std::vector<GroupByResult>* out);
 
-// Single-view weighted variant for delta maintenance: accumulates
-// `weight` * every non-⊥ cell of `chunk` into `view` (⊥-aware; a ⊥ output
-// cell becomes the weighted value), through the same row-tiled kernel
-// dispatch as AccumulateChunkIntoGroupBys. With w = -1 this is exact
-// subtraction on integer-valued data (fma(-1, x, s) = s - x), which is how
-// AggregateCache patches resident views after a chunk swap: subtract the
-// old chunk, add the new one.
-//
-// `counts` (nullable): per-view-cell contribution counters, bumped by
-// sign(weight) per non-⊥ input cell — the bookkeeping that lets the caller
-// restore ⊥ when a cell's last contribution disappears. Pass
-// update_values=false to maintain only the counters (the sidecar build
-// pass of AggregateCache::EnableIncrementalMaintenance).
-void AccumulateChunkIntoGroupByWeighted(const ChunkLayout& layout, ChunkId id,
-                                        const Chunk& chunk, double weight,
-                                        GroupByResult* view, int32_t* counts,
-                                        bool update_values = true);
-
 // Helper shared with the engine: makes one GroupByResult shell for `mask`
 // over `cube`'s position extents.
 GroupByResult MakeGroupByShell(const Cube& cube, GroupByMask mask);

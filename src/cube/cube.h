@@ -125,8 +125,7 @@ class Cube {
   // empty. Every chunk must match the layout's cells_per_chunk.
   void AdoptChunks(std::map<ChunkId, Chunk>&& m);
 
-  // Swaps in a fully built chunk under `id`, creating it when absent. Used
-  // by delta refresh to patch an affected chunk in place.
+  // Swaps in a fully built chunk under `id`, creating it when absent.
   void ReplaceChunk(ChunkId id, Chunk&& chunk);
 
   // Drops the chunk stored under `id` (no-op when absent); every cell of

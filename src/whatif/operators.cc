@@ -40,49 +40,20 @@ std::vector<int> OwnerByMoment(const Dimension& dim, MemberId m) {
 // Chunk-native relocation kernel
 // ---------------------------------------------------------------------------
 //
-// Both Relocate and Split move leaf cells along ONE dimension: a cell at
-// (p, t, rest) goes to (dest(p, t), t, rest) or is dropped. The kernel
-// precomputes dest as a position-indexed table, then copies contiguous cell
-// runs chunk-to-chunk: for a fixed (p, t, leading coords) every trailing
-// coordinate combination is one contiguous run in both the source and the
-// destination chunk, so the inner loop is a ⊥-skipping raw-double copy with
-// no coordinate vectors, no hash lookups and no per-cell chunk resolution.
+// Both Relocate and Split move leaf cells along ONE dimension, as their
+// DestTable states. The kernel copies contiguous cell runs chunk-to-chunk:
+// for a fixed (p, t, leading coords) every trailing coordinate combination
+// is one contiguous run in both the source and the destination chunk, so
+// the inner loop is a ⊥-skipping raw-double copy with no coordinate
+// vectors, no hash lookups and no per-cell chunk resolution.
 
-// dest[p * universe + t] = output position receiving the cell, or -1 (drop).
-// identity[p] / drop_all[p] classify whole rows so the kernel can
-// block-copy or skip whole chunks without consulting the table per cell.
-struct DestTable {
-  int universe = 0;
-  std::vector<int32_t> dest;
-  std::vector<uint8_t> identity;
-  std::vector<uint8_t> drop_all;
-
-  void Init(int num_positions, int param_universe) {
-    universe = param_universe;
-    dest.assign(static_cast<size_t>(num_positions) * universe, -1);
-    identity.assign(num_positions, 0);
-    drop_all.assign(num_positions, 0);
-  }
-
-  // Derives the identity/drop_all row flags from the filled dest rows.
-  void Classify() {
-    const int num_positions = static_cast<int>(identity.size());
-    for (int p = 0; p < num_positions; ++p) {
-      const int32_t* row = dest.data() + static_cast<size_t>(p) * universe;
-      bool ident = true, any = false;
-      for (int t = 0; t < universe; ++t) {
-        if (row[t] >= 0) any = true;
-        if (row[t] != p) ident = false;
-      }
-      identity[p] = ident ? 1 : 0;
-      drop_all[p] = any ? 0 : 1;
-    }
-  }
-
-  int32_t At(int pos, int t) const {
-    return dest[static_cast<size_t>(pos) * universe + t];
-  }
-};
+// A table over `num_positions` positions that drops every cell.
+DestTable DroppingTable(int num_positions, int universe) {
+  DestTable table;
+  table.universe = universe;
+  table.dest.assign(static_cast<size_t>(num_positions) * universe, -1);
+  return table;
+}
 
 // Applies `table` to every stored cell of `in`, producing a cube with
 // schema `schema_out` and the same chunk sizes. Partitions the stored
@@ -99,6 +70,21 @@ Cube ApplyDestTable(const Cube& in, Schema schema_out, int varying_dim,
   const ChunkLayout& lout = out.layout();
   const int n = lin.num_dims();
   const int vd = varying_dim;
+
+  // identity[p] / drop_all[p] classify whole rows so the kernel can
+  // block-copy or skip whole chunks without consulting the table per cell.
+  const int num_positions = in.schema().dimension(vd).num_positions();
+  std::vector<uint8_t> identity(num_positions, 0), drop_all(num_positions, 0);
+  for (int p = 0; p < num_positions; ++p) {
+    bool ident = true, any = false;
+    for (int t = 0; t < table.universe; ++t) {
+      const int32_t d = table.At(p, t);
+      if (d >= 0) any = true;
+      if (d != p) ident = false;
+    }
+    identity[p] = ident ? 1 : 0;
+    drop_all[p] = any ? 0 : 1;
+  }
 
   // Row-major in-chunk strides for both layouts. They can differ only when
   // the varying extent changed (Split adding instances near a clamped
@@ -195,8 +181,8 @@ Cube ApplyDestTable(const Cube& in, Schema schema_out, int varying_dim,
     bool all_drop = true, all_ident = true;
     for (int lv = 0; lv < vlimit; ++lv) {
       const int p = vbase + lv;
-      if (!table.drop_all[p]) all_drop = false;
-      if (!table.identity[p]) all_ident = false;
+      if (!drop_all[p]) all_drop = false;
+      if (!identity[p]) all_ident = false;
     }
     if (all_drop) return;  // Sec. 6.3 confinement: chunk holds no scoped data.
 
@@ -255,7 +241,7 @@ Cube ApplyDestTable(const Cube& in, Schema schema_out, int varying_dim,
       const int t =
           base[param_dim] + (param_dim <= j ? local_coords[param_dim] : 0);
       const int32_t dstv =
-          table.identity[p] ? static_cast<int32_t>(p) : table.At(p, t);
+          identity[p] ? static_cast<int32_t>(p) : table.At(p, t);
       if (dstv >= 0) {
         int64_t src_off = 0;
         for (int d = 0; d <= j; ++d) src_off += local_coords[d] * sin[d];
@@ -432,6 +418,19 @@ Result<Schema> SplitSchema(const Cube& in, int varying_dim,
 
 }  // namespace
 
+DestTable DestTable::Then(const DestTable& next) const {
+  if (empty() || next.empty()) return {};
+  assert(universe == next.universe);
+  DestTable out;
+  out.universe = universe;
+  out.dest.resize(dest.size());
+  for (size_t i = 0; i < dest.size(); ++i) {
+    const int t = static_cast<int>(i % universe);
+    out.dest[i] = dest[i] < 0 ? -1 : next.At(dest[i], t);
+  }
+  return out;
+}
+
 // Per-operator instrumentation (the paper's cube algebra: σ Select,
 // ρ Relocate, S Split, Φ Allocate, E Evaluate). Each operator application
 // opens one trace span and bumps one call counter; E is counted but not
@@ -517,7 +516,7 @@ Cube Relocate(const Cube& in, int varying_dim,
               const std::vector<DynamicBitset>& vs_out,
               const std::vector<MemberId>& scope_members,
               bool copy_out_of_scope, int64_t* cells_moved, int threads,
-              const CancellationToken& cancel) {
+              const CancellationToken& cancel, DestTable* applied) {
   OLAP_OPERATOR_SCOPE("relocate");
   const Dimension& d_in = in.schema().dimension(varying_dim);
   assert(d_in.is_varying());
@@ -553,8 +552,7 @@ Cube Relocate(const Cube& in, int varying_dim,
 
   // Position-indexed destination table: destinations resolve once per axis
   // position here, never in the kernel.
-  DestTable table;
-  table.Init(d_in.num_positions(), universe);
+  DestTable table = DroppingTable(d_in.num_positions(), universe);
   for (int p = 0; p < d_in.num_positions(); ++p) {
     const MemberInstance& inst = d_in.instance(p);
     int32_t* row = table.dest.data() + static_cast<size_t>(p) * universe;
@@ -570,9 +568,10 @@ Cube Relocate(const Cube& in, int varying_dim,
         dst_flat.data() + static_cast<size_t>(inst.member) * universe;
     inst.validity.ForEachSetBit([&](int t) { row[t] = src[t]; });
   }
-  table.Classify();
-  return ApplyDestTable(in, std::move(schema_out), varying_dim, param_dim,
-                        table, threads, cells_moved, cancel);
+  Cube out = ApplyDestTable(in, std::move(schema_out), varying_dim, param_dim,
+                            table, threads, cells_moved, cancel);
+  if (applied != nullptr) *applied = std::move(table);
+  return out;
 }
 
 Cube RelocateReference(const Cube& in, int varying_dim,
@@ -650,7 +649,8 @@ Cube RelocateReference(const Cube& in, int varying_dim,
 }
 
 Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
-                   int threads, const CancellationToken& cancel) {
+                   int threads, const CancellationToken& cancel,
+                   DestTable* applied) {
   OLAP_OPERATOR_SCOPE("split");
   std::unordered_set<MemberId> touched;
   Result<Schema> schema_out = SplitSchema(in, varying_dim, r, &touched);
@@ -668,8 +668,7 @@ Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
   std::unordered_map<MemberId, std::vector<int>> owner_out;
   for (MemberId m : touched) owner_out[m] = OwnerByMoment(d_out, m);
 
-  DestTable table;
-  table.Init(d_in.num_positions(), universe);
+  DestTable table = DroppingTable(d_in.num_positions(), universe);
   for (int p = 0; p < d_in.num_positions(); ++p) {
     const MemberInstance& inst = d_in.instance(p);
     int32_t* row = table.dest.data() + static_cast<size_t>(p) * universe;
@@ -683,9 +682,10 @@ Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
       row[t] = it->second[t];
     }
   }
-  table.Classify();
-  return ApplyDestTable(in, *std::move(schema_out), varying_dim, param_dim,
-                        table, threads, nullptr, cancel);
+  Cube out = ApplyDestTable(in, *std::move(schema_out), varying_dim, param_dim,
+                            table, threads, nullptr, cancel);
+  if (applied != nullptr) *applied = std::move(table);
+  return out;
 }
 
 Result<Cube> SplitReference(const Cube& in, int varying_dim,
@@ -875,13 +875,11 @@ Result<Cube> IntroduceMembers(const Cube& in, int varying_dim,
   // Existing cells copy through unchanged: an identity destination table
   // over the input positions. The output grid is wider (new instances
   // append positions); the kernel handles the differing chunk grids.
-  DestTable table;
-  table.Init(d_in.num_positions(), universe);
+  DestTable table = DroppingTable(d_in.num_positions(), universe);
   for (int p = 0; p < d_in.num_positions(); ++p) {
     int32_t* row = table.dest.data() + static_cast<size_t>(p) * universe;
     for (int t = 0; t < universe; ++t) row[t] = p;
   }
-  table.Classify();
   Cube out = ApplyDestTable(in, std::move(schema_out), varying_dim, param_dim,
                             table, threads, nullptr, cancel);
   if (Status s = cancel.Poll("whatif.introduce"); !s.ok()) {

@@ -40,6 +40,30 @@ std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
                                     const std::function<bool(double)>& pred);
 
 // ---------------------------------------------------------------------------
+// Destination tables: where Relocate and Split send each leaf cell
+// ---------------------------------------------------------------------------
+
+// Both operators move leaf cells along the varying dimension only: the cell
+// at (p, t, rest) of the input, p a varying-dimension position and t its
+// parameter moment, lands at (At(p, t), t, rest) of the output, or nowhere
+// when At(p, t) < 0. The instances of one member have pairwise disjoint
+// validity sets, so for each t no two positions share a destination, and
+// every output cell has at most one source cell. An empty table states no
+// mapping.
+struct DestTable {
+  int universe = 0;           // Parameter moments per position.
+  std::vector<int32_t> dest;  // dest[p * universe + t]; -1 = dropped.
+
+  bool empty() const { return dest.empty(); }
+  int32_t At(int pos, int t) const {
+    return dest[static_cast<size_t>(pos) * universe + t];
+  }
+  // Applying this table, then `next` (whose positions are this table's
+  // destinations). Empty when either table is.
+  DestTable Then(const DestTable& next) const;
+};
+
+// ---------------------------------------------------------------------------
 // Relocate (Definition 4.4)
 // ---------------------------------------------------------------------------
 
@@ -71,11 +95,15 @@ std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
 // `cancel` is polled at source-chunk granularity; a pass that observes a
 // stop request returns a partially-filled output cube that the caller must
 // check the token for and discard.
+//
+// `applied`, when non-null, receives the destination table the data
+// movement used.
 Cube Relocate(const Cube& in, int varying_dim,
               const std::vector<DynamicBitset>& vs_out,
               const std::vector<MemberId>& scope_members = {},
               bool copy_out_of_scope = true, int64_t* cells_moved = nullptr,
-              int threads = 1, const CancellationToken& cancel = {});
+              int threads = 1, const CancellationToken& cancel = {},
+              DestTable* applied = nullptr);
 
 // The serial cell-at-a-time implementation of Relocate (ForEachCell +
 // SetCell per cell). Kept as the oracle for the randomized equivalence
@@ -106,10 +134,11 @@ using ChangeRelation = std::vector<ChangeTuple>;
 // actually m's parent over the reassigned moments.
 //
 // Uses the same chunk-native run-copy kernel as Relocate; `threads`
-// parallelises the data movement with bit-identical results. `cancel` as
-// in Relocate: a cancelled pass's output must be discarded.
+// parallelises the data movement with bit-identical results. `cancel` and
+// `applied` as in Relocate: a cancelled pass's output must be discarded.
 Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
-                   int threads = 1, const CancellationToken& cancel = {});
+                   int threads = 1, const CancellationToken& cancel = {},
+                   DestTable* applied = nullptr);
 
 // Serial cell-at-a-time Split, the oracle for equivalence tests/bench.
 Result<Cube> SplitReference(const Cube& in, int varying_dim,

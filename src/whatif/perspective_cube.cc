@@ -307,18 +307,22 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     base = &*intro_cube;
   }
   std::optional<Cube> split_cube;
+  DestTable split_table;
   if (!spec.changes.empty()) {
     std::vector<MemberId> changed;
     for (const ChangeTuple& tuple : spec.changes) changed.push_back(tuple.member);
     ChargeScan(*base, spec.varying_dim, changed, disk, stats, pipelined_io);
-    Result<Cube> split =
-        Split(*base, spec.varying_dim, spec.changes, eval_threads, cancel);
+    Result<Cube> split = Split(*base, spec.varying_dim, spec.changes,
+                               eval_threads, cancel, &split_table);
     if (!split.ok()) return fail(split.status());
     if (Status s = interrupted(); !s.ok()) return fail(s);
     stats->cells_moved += split->CountNonNullCells();
     split_cube = *std::move(split);
     base = &*split_cube;
   }
+  // The output's cell map composes the operators' tables. INTRODUCE's
+  // seeding copies cells across members, so a spec with it has no map.
+  const bool mappable = spec.introductions.empty();
 
   if (spec.perspectives.empty()) {
     // Positive-only query (or the identity when there are no changes
@@ -330,7 +334,8 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     if (disk != nullptr) {
       stats->virtual_io_seconds = disk->stats().virtual_seconds - io_before;
     }
-    return PerspectiveCube(&in, std::move(out), spec.mode, spec.varying_dim);
+    return PerspectiveCube(&in, std::move(out), spec.mode, spec.varying_dim,
+                           {}, mappable ? std::move(split_table) : DestTable{});
   }
 
   const Dimension& dim = base->schema().dimension(spec.varying_dim);
@@ -354,15 +359,22 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
         dim, spec.perspectives, spec.semantics, relocate_scope);
     ChargeRelocationScan(*base, spec.varying_dim, vs_out, scan_scope,
                          spec.pebbling_read_order, disk, stats, pipelined_io);
+    DestTable relocate_table;
     Cube out = Relocate(*base, spec.varying_dim, vs_out, relocate_scope,
                         /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
-                        eval_threads, cancel);
+                        eval_threads, cancel, &relocate_table);
     if (Status s = interrupted(); !s.ok()) return fail(s);
     if (disk != nullptr) {
       stats->virtual_io_seconds = disk->stats().virtual_seconds - io_before;
     }
+    DestTable map;
+    if (mappable) {
+      map = spec.changes.empty() ? std::move(relocate_table)
+                                 : split_table.Then(relocate_table);
+    }
     return PerspectiveCube(&in, std::move(out), spec.mode, spec.varying_dim,
-                           scoped ? spec.scope_members : std::vector<MemberId>{});
+                           scoped ? spec.scope_members : std::vector<MemberId>{},
+                           std::move(map));
   }
 
   // MultipleMdx simulation: k single-perspective queries, then post-process

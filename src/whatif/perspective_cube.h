@@ -80,18 +80,25 @@ class PerspectiveCube {
  public:
   PerspectiveCube(const Cube* input, Cube output, EvalMode mode,
                   int varying_dim = -1,
-                  std::vector<MemberId> scoped_members = {})
+                  std::vector<MemberId> scoped_members = {},
+                  DestTable dest_table = {})
       : input_(input),
         output_(std::move(output)),
         mode_(mode),
         varying_dim_(varying_dim),
-        scoped_members_(scoped_members.begin(), scoped_members.end()) {}
+        scoped_members_(scoped_members.begin(), scoped_members.end()),
+        dest_table_(std::move(dest_table)) {}
 
   const Cube& input() const { return *input_; }
   const Cube& output() const { return output_; }
-  // For delta refresh: patch affected output chunks in place.
+  // For delta refresh: rewrite output cells in place.
   Cube* mutable_output() { return &output_; }
   EvalMode mode() const { return mode_; }
+  // Where each leaf cell of input() lands in output() along the varying
+  // dimension (Split's table, then Relocate's). Empty when no such map holds: after
+  // INTRODUCE, whose seeding copies cells across members, under
+  // Multiple-MDX, for a spec with no op and for multi-spec stacks.
+  const DestTable& dest_table() const { return dest_table_; }
 
   // Cell value under the query's evaluation mode:
   //  * leaf cells come from the transformed output cube (or the input cube
@@ -116,6 +123,7 @@ class PerspectiveCube {
   EvalMode mode_;
   int varying_dim_;
   std::unordered_set<MemberId> scoped_members_;
+  DestTable dest_table_;
 };
 
 // Computes the perspective cube for `spec` over `in`.

@@ -80,12 +80,14 @@ void AccumulateStats(EvalStats* into, const EvalStats& stage) {
 // single-purpose WhatIfSpec evaluated through ComputePerspectiveCube (which
 // owns the read-pass charging, stats, and cancellation polling), and only
 // the stage's output cube is carried forward. By construction this makes
-// Compose(ops) bit-identical to sequentially applying each op.
+// Compose(ops) bit-identical to sequentially applying each op. `map`
+// receives the stages' cell maps composed (empty when any stage has none).
 Result<Cube> ApplyScenarioOps(const Cube& start, const ScenarioSpec& spec,
                               const ScenarioEvalOptions& opts,
-                              EvalStats* stats) {
+                              EvalStats* stats, DestTable* map) {
   const Cube* cur = &start;
   std::optional<Cube> held;
+  *map = DestTable{};
   for (const ScenarioOp& op : spec.ops) {
     WhatIfSpec ws;
     ws.varying_dim = spec.varying_dim;
@@ -111,6 +113,8 @@ Result<Cube> ApplyScenarioOps(const Cube& start, const ScenarioSpec& spec,
         opts.pipelined_io, opts.cancel);
     if (!stage.ok()) return stage.status();
     AccumulateStats(stats, stage_stats);
+    *map = held.has_value() ? map->Then(stage->dest_table())
+                            : stage->dest_table();
     held = stage->output();
     cur = &*held;
   }
@@ -194,6 +198,7 @@ Result<PerspectiveCube> ComposeScenarios(const Cube& in,
     if (spec.mode == EvalMode::kVisual) combined = EvalMode::kVisual;
   }
   Cube current = in;
+  DestTable map;
   for (const ScenarioSpec& spec : specs) {
     if (spec.canonical()) {
       EvalStats stage_stats;
@@ -204,16 +209,19 @@ Result<PerspectiveCube> ComposeScenarios(const Cube& in,
       AccumulateStats(stats, stage_stats);
       current = stage->output();
     } else {
-      Result<Cube> next = ApplyScenarioOps(current, spec, opts, stats);
+      Result<Cube> next = ApplyScenarioOps(current, spec, opts, stats, &map);
       if (!next.ok()) return fail(next.status());
       current = *std::move(next);
     }
   }
   // A single-spec stack keeps its varying dimension (so refs pinning
-  // introduced or split instances route to the output cube); multi-spec
-  // composition keeps the historical unattributed form.
-  const int vd = specs.size() == 1 ? specs[0].varying_dim : -1;
-  return PerspectiveCube(&in, std::move(current), combined, vd);
+  // introduced or split instances route to the output cube) and its cell
+  // map; multi-spec composition keeps the historical unattributed form.
+  if (specs.size() > 1) {
+    return PerspectiveCube(&in, std::move(current), combined, -1);
+  }
+  return PerspectiveCube(&in, std::move(current), combined,
+                         specs[0].varying_dim, {}, std::move(map));
 }
 
 namespace {

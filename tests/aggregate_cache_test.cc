@@ -183,39 +183,6 @@ TEST_F(AggregateCacheTest, PatchCellDeltaTracksEditsExactly) {
   }
 }
 
-TEST_F(AggregateCacheTest, PatchChunkDeltaMatchesRebuildAfterChunkSwap) {
-  std::vector<GroupByMask> masks = {0b0000, 0b0011, 0b1101};
-  AggregateCache cache(ex_.cube, masks);
-  cache.EnableIncrementalMaintenance(ex_.cube);
-
-  // Mutate one chunk wholesale (the delta-refresh path), keeping a copy
-  // of the bytes it replaced.
-  const std::vector<int> probe = {ex_.fte_joe, 0, 0, 0};
-  const ChunkId id = ex_.cube.layout().ChunkOf(probe);
-  const Chunk* stored = ex_.cube.FindChunk(id);
-  ASSERT_NE(stored, nullptr);
-  Chunk before(*stored);
-  Chunk after(*stored);
-  after.Set(0, CellValue(999.0));
-  ex_.cube.ReplaceChunk(id, Chunk(after));
-  cache.PatchChunkDelta(ex_.cube.layout(), id, &before, &after);
-
-  AggregateCache rebuilt(ex_.cube, masks);
-  for (int i = 0; i < cache.num_views(); ++i) {
-    EXPECT_TRUE(cache.view_resident(i));
-    EXPECT_TRUE(cache.view(i) == rebuilt.view(i)) << "view " << i;
-  }
-
-  // Erasing the chunk (after = null) subtracts every contribution it
-  // made; counts that return to zero restore ⊥ in the views.
-  ex_.cube.EraseChunk(id);
-  cache.PatchChunkDelta(ex_.cube.layout(), id, &after, nullptr);
-  AggregateCache rebuilt2(ex_.cube, masks);
-  for (int i = 0; i < cache.num_views(); ++i) {
-    EXPECT_TRUE(cache.view(i) == rebuilt2.view(i)) << "view " << i;
-  }
-}
-
 TEST_F(AggregateCacheTest, NonIncrementalPatchDropsResidentViews) {
   std::vector<GroupByMask> masks = {0b0000, 0b0011};
   AggregateCache cache(ex_.cube, masks);

@@ -2,23 +2,21 @@
 //
 //   * DeltaBatch records before/after storage values and chains edits to
 //     the same cell consistently;
-//   * ComputeDeltaClosure stays within the touched chunk columns and
-//     always covers the touched chunks themselves;
 //   * IncrementalScenario::ApplyDelta leaves the retained perspective cube
 //     bit-identical to a from-scratch recompute on the edited base —
-//     relocate scenarios take the incremental path, INTRODUCE stacks fall
-//     back to a (still correct) full recompute;
+//     relocate scenarios rewrite only the cells their map reaches (one
+//     output chunk per one-cell edit), INTRODUCE stacks fall back to a
+//     (still correct) full recompute;
 //   * UpdateSpec on a composed stack re-lowers only the dirtied suffix and
 //     matches ComposeScenarios of the edited stack;
-//   * an attached AggregateCache is patched in place (subtract/add through
-//     the weighted kernels) and matches a cache rebuilt from scratch;
-//   * the governor hooks: a declined reservation surfaces
+//   * an attached AggregateCache is patched cell by cell and matches a
+//     cache rebuilt from scratch;
+//   * the governor hooks: a full recompute's declined reservation surfaces
 //     kResourceExhausted, a cancelled refresh flags needs_rebuild, and
 //     Rebuild() recovers either way;
 //   * Database::ApplyCellEdits keeps the persistent cache servable (key
 //     bumped in lockstep with the cube version) with views_kept > 0.
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -84,6 +82,21 @@ class DeltaTest : public ::testing::Test {
     return spec;
   }
 
+  // ForwardSpec after introducing a hire cloned from Lisa: no cell map, so
+  // every refresh is a full recompute.
+  ScenarioSpec IntroduceSpec() const {
+    NewMemberSpec hire;
+    hire.name = "Newbie";
+    hire.parent = "FTE";
+    hire.from_moment = 1;
+    hire.seed = NewMemberSpec::Seed::kClone;
+    hire.source = "Lisa";
+    hire.factor = 1.0;
+    ScenarioSpec spec = ForwardSpec();
+    spec.ops.insert(spec.ops.begin(), ScenarioOp::Introduce({hire}));
+    return spec;
+  }
+
   PaperExample ex_;
 };
 
@@ -109,37 +122,6 @@ TEST_F(DeltaTest, BatchRecordsBeforeAfterAndChains) {
   std::vector<int> oob = coords;
   oob[0] = cube.layout().extents()[0] + 5;
   EXPECT_FALSE(batch.Set(oob, CellValue(1.0)).ok());
-}
-
-TEST_F(DeltaTest, ClosureCoversTouchedChunksAndStaysInColumn) {
-  const Cube& cube = ex_.cube;
-  const ChunkLayout& layout = cube.layout();
-  const int vd = ex_.org_dim;
-  const Dimension& dim = cube.schema().dimension(vd);
-
-  std::vector<ChunkId> touched = {layout.ChunkOf(At(ex_.fte_joe, 0, 0, 0))};
-  Result<DeltaClosure> closure =
-      ComputeDeltaClosure(layout, dim, layout, dim, vd, touched);
-  ASSERT_TRUE(closure.ok()) << closure.status().ToString();
-
-  // The touched chunk itself must be re-read and its output re-patched.
-  EXPECT_TRUE(std::count(closure->input_chunks.begin(),
-                         closure->input_chunks.end(), touched[0]) > 0);
-  EXPECT_TRUE(std::count(closure->output_chunks.begin(),
-                         closure->output_chunks.end(), touched[0]) > 0);
-
-  // Every closure chunk lives in the touched chunk's column: identical
-  // chunk coordinates on all non-varying dimensions.
-  const std::vector<int> want = layout.ChunkCoords(touched[0]);
-  auto in_column = [&](ChunkId id) {
-    const std::vector<int> got = layout.ChunkCoords(id);
-    for (int d = 0; d < layout.num_dims(); ++d) {
-      if (d != vd && got[d] != want[d]) return false;
-    }
-    return true;
-  };
-  for (ChunkId id : closure->input_chunks) EXPECT_TRUE(in_column(id)) << id;
-  for (ChunkId id : closure->output_chunks) EXPECT_TRUE(in_column(id)) << id;
 }
 
 TEST_F(DeltaTest, ApplyDeltaMatchesFullRecompute) {
@@ -168,17 +150,36 @@ TEST_F(DeltaTest, ApplyDeltaMatchesFullRecompute) {
                           "incremental refresh vs recompute");
 }
 
+TEST_F(DeltaTest, OneCellEditRewritesAtMostOneOutputChunk) {
+  Cube cube = ex_.cube;
+  Result<IncrementalScenario> inc =
+      IncrementalScenario::Create(&cube, {ForwardSpec()});
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+
+  // Each cell reaches exactly one output cell (or none), so a one-cell
+  // edit reads one base chunk and writes at most one output chunk.
+  const std::vector<std::vector<int>> cells = {
+      At(ex_.fte_joe, 0, 0, 0), At(ex_.contractor_joe, 0, 2, 0),
+      At(ex_.pte_joe, 0, 1, 0)};
+  for (const std::vector<int>& coords : cells) {
+    DeltaBatch batch(&cube);
+    ASSERT_TRUE(batch.Set(coords, CellValue(31.0)).ok());
+    RefreshStats stats;
+    ASSERT_TRUE(inc->ApplyDelta(batch, RefreshOptions{}, &stats).ok());
+    EXPECT_FALSE(stats.full_recompute);
+    EXPECT_EQ(stats.chunks_affected, 1);
+    EXPECT_LE(stats.chunks_patched, 1);
+
+    Result<PerspectiveCube> oracle = ComputeScenario(cube, ForwardSpec());
+    ASSERT_TRUE(oracle.ok());
+    ExpectCubesBitIdentical(oracle->output(), inc->cube().output(),
+                            "one-cell refresh vs recompute");
+  }
+}
+
 TEST_F(DeltaTest, IntroduceStackFallsBackToFullRecompute) {
   Cube cube = ex_.cube;
-  NewMemberSpec hire;
-  hire.name = "Newbie";
-  hire.parent = "FTE";
-  hire.from_moment = 1;
-  hire.seed = NewMemberSpec::Seed::kClone;
-  hire.source = "Lisa";
-  hire.factor = 1.0;
-  ScenarioSpec spec = ForwardSpec();
-  spec.ops.insert(spec.ops.begin(), ScenarioOp::Introduce({hire}));
+  const ScenarioSpec spec = IntroduceSpec();
 
   Result<IncrementalScenario> inc =
       IncrementalScenario::Create(&cube, {spec});
@@ -262,10 +263,12 @@ TEST_F(DeltaTest, AttachedCacheIsPatchedToMatchARebuild) {
   }
 }
 
+// The reservation tests run on an INTRODUCE stack: only a full recompute
+// builds a new cube, so only it reserves cells.
 TEST_F(DeltaTest, DeclinedReservationSurfacesResourceExhausted) {
   Cube cube = ex_.cube;
   Result<IncrementalScenario> inc =
-      IncrementalScenario::Create(&cube, {ForwardSpec()});
+      IncrementalScenario::Create(&cube, {IntroduceSpec()});
   ASSERT_TRUE(inc.ok());
 
   DeltaBatch batch(&cube);
@@ -286,7 +289,7 @@ TEST_F(DeltaTest, DeclinedReservationSurfacesResourceExhausted) {
 
   ASSERT_TRUE(inc->Rebuild().ok());
   EXPECT_FALSE(inc->needs_rebuild());
-  Result<PerspectiveCube> oracle = ComputeScenario(cube, ForwardSpec());
+  Result<PerspectiveCube> oracle = ComputeScenario(cube, IntroduceSpec());
   ASSERT_TRUE(oracle.ok());
   ExpectCubesBitIdentical(oracle->output(), inc->cube().output(),
                           "rebuild after refused reservation");
@@ -295,7 +298,7 @@ TEST_F(DeltaTest, DeclinedReservationSurfacesResourceExhausted) {
 TEST_F(DeltaTest, ReservationIsReleasedOnSuccess) {
   Cube cube = ex_.cube;
   Result<IncrementalScenario> inc =
-      IncrementalScenario::Create(&cube, {ForwardSpec()});
+      IncrementalScenario::Create(&cube, {IntroduceSpec()});
   ASSERT_TRUE(inc.ok());
 
   DeltaBatch batch(&cube);
