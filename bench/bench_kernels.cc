@@ -43,6 +43,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/executor.h"
+#include "support/operator_oracles.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
 #include "workload/product.h"
@@ -121,9 +122,10 @@ bool CubesBitIdentical(const Cube& a, const Cube& b) {
 Timing TimeRelocate(const Cube& cube, int vd,
                     const std::vector<DynamicBitset>& vs_out, int reps) {
   Timing t;
-  Cube ref = RelocateReference(cube, vd, vs_out);
+  const Schema schema_out = Relocate(cube, vd, vs_out).schema();
+  Cube ref = RelocateReference(cube, schema_out, vd, vs_out);
   t.percell_ms = BestOfMs(reps, [&] {
-    Cube out = RelocateReference(cube, vd, vs_out);
+    Cube out = RelocateReference(cube, schema_out, vd, vs_out);
     if (out.NumStoredChunks() == 0 && cube.NumStoredChunks() > 0) abort();
   });
   for (int threads : kThreadCounts) {
@@ -253,19 +255,22 @@ WorkloadReport RunSplit(bool smoke) {
   report.chunks = pc.cube.NumStoredChunks();
 
   const int reps = smoke ? 3 : 5;
-  Result<Cube> ref = SplitReference(pc.cube, pc.product_dim, r);
-  if (!ref.ok()) {
-    fprintf(stderr, "split setup failed: %s\n", ref.status().ToString().c_str());
+  Result<Cube> split = Split(pc.cube, pc.product_dim, r);
+  if (!split.ok()) {
+    fprintf(stderr, "split setup failed: %s\n",
+            split.status().ToString().c_str());
     abort();
   }
+  const Schema schema_out = split->schema();
+  Cube ref = SplitReference(pc.cube, schema_out, pc.product_dim, r);
   report.timing.percell_ms = BestOfMs(reps, [&] {
-    Result<Cube> out = SplitReference(pc.cube, pc.product_dim, r);
-    if (!out.ok()) abort();
+    Cube out = SplitReference(pc.cube, schema_out, pc.product_dim, r);
+    if (out.NumStoredChunks() == 0 && pc.cube.NumStoredChunks() > 0) abort();
   });
   for (int threads : kThreadCounts) {
     Result<Cube> out = Split(pc.cube, pc.product_dim, r, threads);
     report.timing.identical = report.timing.identical && out.ok() &&
-                              CubesBitIdentical(*ref, *out);
+                              CubesBitIdentical(ref, *out);
     report.timing.kernel_ms[threads] = BestOfMs(reps, [&] {
       Result<Cube> timed = Split(pc.cube, pc.product_dim, r, threads);
       if (!timed.ok()) abort();
@@ -413,8 +418,8 @@ struct KernelMicroReport {
 
 constexpr int kKernelShards = 64;
 // Acceptance gate: the dispatched masked run sum must beat the scalar
-// oracle by at least this factor serially (only enforced when a SIMD ISA
-// actually dispatched — the forced-scalar CI build runs the bit-identity
+// oracle by at least this factor serially (only enforced when the AVX2
+// kernels dispatched — the forced-scalar CI build runs the bit-identity
 // gates but not the speedup gate).
 constexpr double kRunSumMinSimdSpeedup = 2.0;
 
@@ -778,11 +783,10 @@ void WriteJson(FILE* f, const std::vector<WorkloadReport>& reports,
   // without this the per-kernel speedups below are uninterpretable across
   // CI runners (and the forced-scalar job reports "scalar" here).
   fprintf(f, "  \"cpu\": {\"kernel_isa\": \"%s\", \"simd_compiled_in\": %s, "
-          "\"avx2\": %s, \"neon\": %s},\n",
+          "\"avx2\": %s},\n",
           kernels::IsaName(kernels::ActiveIsa()),
           kernels::SimdCompiledIn() ? "true" : "false",
-          kernels::ActiveIsa() == kernels::Isa::kAvx2 ? "true" : "false",
-          kernels::ActiveIsa() == kernels::Isa::kNeon ? "true" : "false");
+          kernels::ActiveIsa() == kernels::Isa::kAvx2 ? "true" : "false");
   // hardware_cores is the effective parallelism the pool plans with (the
   // affinity-visible count); hardware_concurrency is the machine's raw
   // report, kept so CI runs on restricted cpusets are interpretable.
@@ -918,11 +922,10 @@ int Main(int argc, char** argv) {
 
   int failures = 0;
   // The bit-identity gates run unconditionally (like the workload identity
-  // gates below); the speedup gate is --check only, and only binds when a
-  // SIMD ISA actually dispatched — the forced-scalar CI build would
+  // gates below); the speedup gate is --check only, and only binds when
+  // the AVX2 kernels actually dispatched — the forced-scalar CI build would
   // otherwise fail it by construction.
-  const bool simd_active = kernels::ActiveIsa() == kernels::Isa::kAvx2 ||
-                           kernels::ActiveIsa() == kernels::Isa::kNeon;
+  const bool simd_active = kernels::ActiveIsa() == kernels::Isa::kAvx2;
   for (const KernelMicroEntry& e : micro.entries) {
     if (!e.identical) {
       fprintf(stderr,

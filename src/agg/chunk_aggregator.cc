@@ -172,17 +172,6 @@ GroupByResult MakeGroupByShell(const Cube& cube, GroupByMask mask) {
   return GroupByResult(mask, std::move(kept), std::move(extents));
 }
 
-std::vector<GroupByResult> NaiveAggregator::Compute(
-    const Cube& cube, const std::vector<GroupByMask>& masks) {
-  std::vector<GroupByResult> out;
-  out.reserve(masks.size());
-  for (GroupByMask mask : masks) out.push_back(MakeGroupByShell(cube, mask));
-  cube.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
-    for (GroupByResult& g : out) g.AccumulateFull(coords, v);
-  });
-  return out;
-}
-
 std::vector<GroupByResult> ChunkAggregator::Compute(
     const std::vector<GroupByMask>& masks, const std::vector<int>& order,
     SimulatedDisk* disk, int threads, const CancellationToken& cancel) {

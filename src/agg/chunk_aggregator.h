@@ -20,21 +20,11 @@ struct AggStats {
   int64_t mmst_memory_cells = 0;  // Analytic Zhao memory bound for the pass.
 };
 
-// Simple whole-cube scanner: visits every stored cell once and projects it
-// onto each requested group-by. The oracle against which ChunkAggregator is
-// tested.
-class NaiveAggregator {
- public:
-  // Computes the requested group-bys of `cube` (sum over dropped dims).
-  static std::vector<GroupByResult> Compute(const Cube& cube,
-                                            const std::vector<GroupByMask>& masks);
-};
-
 // Zhao-style aggregator: reads chunks in an explicit dimension order
 // (order[0] varies fastest) and accumulates every requested group-by in one
 // pass. Optionally charges each chunk read to a SimulatedDisk.
 //
-// The numeric results are identical to NaiveAggregator (tested); what the
+// The numeric results equal a per-cell scan of the cube (tested); what the
 // dimension order changes is the I/O pattern and the analytic memory bound
 // (AggStats::mmst_memory_cells) — which is what the paper's Lemma 5.1
 // argument and the Zhao MMST are about.

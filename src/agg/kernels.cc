@@ -3,7 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/value.h"
@@ -11,10 +10,6 @@
 #if !defined(OLAP_DISABLE_SIMD) && (defined(__x86_64__) || defined(_M_X64))
 #define OLAP_KERNELS_HAVE_AVX2 1
 #include <immintrin.h>
-#endif
-#if !defined(OLAP_DISABLE_SIMD) && defined(__aarch64__)
-#define OLAP_KERNELS_HAVE_NEON 1
-#include <arm_neon.h>
 #endif
 
 namespace olap::kernels {
@@ -34,8 +29,9 @@ inline bool IsSentinelNull(double raw) { return CellValue::IsStorageNull(raw); }
 const double kNullDouble = CellValue::NullStorage();
 
 // ---------------------------------------------------------------------------
-// Scalar reference implementations. These DEFINE the results; every other
-// implementation must match them bitwise.
+// Scalar reference implementations. These DEFINE the results; the AVX2
+// implementations must match them bitwise. Dispatch falls back to them on
+// any host (or build) without AVX2+FMA.
 // ---------------------------------------------------------------------------
 
 RunSum MaskedRunSumScalarImpl(const double* values, const uint64_t* valid,
@@ -106,136 +102,6 @@ int64_t DecodeSentinelRunScalarImpl(const double* raw, double* values,
       SetBit(valid, bit_offset + i);
       ++count;
     }
-  }
-  return count;
-}
-
-// ---------------------------------------------------------------------------
-// Portable word-blocked implementations: scalar per-element arithmetic (so
-// results are trivially bit-identical to the reference), but the mask is
-// read one word per 64 elements and the all-valid / all-invalid word fast
-// paths run dense loops the compiler can auto-vectorize.
-// ---------------------------------------------------------------------------
-
-RunSum MaskedRunSumPortable(const double* values, const uint64_t* valid,
-                            int64_t bit_offset, int64_t len) {
-  double acc[4] = {0.0, 0.0, 0.0, 0.0};
-  int64_t count = 0;
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(valid, bit_offset + i, n);
-    count += std::popcount(m);
-    const double* p = values + i;
-    if (m == FullMask(n)) {
-      int k = 0;
-      for (; k + 4 <= n; k += 4) {
-        acc[0] += p[k];
-        acc[1] += p[k + 1];
-        acc[2] += p[k + 2];
-        acc[3] += p[k + 3];
-      }
-      for (; k < n; ++k) acc[k & 3] += p[k];
-    } else if (m != 0) {
-      for (int k = 0; k < n; ++k) {
-        if ((m >> k) & 1u) acc[k & 3] += p[k];
-      }
-    }
-    i += n;
-  }
-  return {(acc[0] + acc[1]) + (acc[2] + acc[3]), count};
-}
-
-void MergeWeightedRunIntoSentinelPortable(double w, const double* src,
-                                          const uint64_t* valid,
-                                          int64_t bit_offset, double* dst,
-                                          int64_t len) {
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(valid, bit_offset + i, n);
-    if (m != 0) {
-      const double* s = src + i;
-      double* d = dst + i;
-      for (int k = 0; k < n; ++k) {
-        if (!((m >> k) & 1u)) continue;
-        d[k] = IsSentinelNull(d[k]) ? w * s[k] : std::fma(w, s[k], d[k]);
-      }
-    }
-    i += n;
-  }
-}
-
-int64_t CopyRunMaskedPortable(const double* src_values,
-                              const uint64_t* src_valid,
-                              int64_t src_bit_offset, double* dst_values,
-                              uint64_t* dst_valid, int64_t dst_bit_offset,
-                              int64_t len) {
-  int64_t copied = 0;
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(src_valid, src_bit_offset + i, n);
-    if (m != 0) {
-      OrBitsAt(dst_valid, dst_bit_offset + i, m, n);
-      copied += std::popcount(m);
-      if (m == FullMask(n)) {
-        std::memcpy(dst_values + i, src_values + i, sizeof(double) * n);
-      } else {
-        uint64_t bits = m;
-        while (bits != 0) {
-          const int k = std::countr_zero(bits);
-          dst_values[i + k] = src_values[i + k];
-          bits &= bits - 1;
-        }
-      }
-    }
-    i += n;
-  }
-  return copied;
-}
-
-void ExpandToSentinelPortable(const double* values, const uint64_t* valid,
-                              int64_t bit_offset, double* out, int64_t len) {
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(valid, bit_offset + i, n);
-    if (m == FullMask(n)) {
-      std::memcpy(out + i, values + i, sizeof(double) * n);
-    } else if (m == 0) {
-      for (int k = 0; k < n; ++k) out[i + k] = kNullDouble;
-    } else {
-      for (int k = 0; k < n; ++k) {
-        out[i + k] = ((m >> k) & 1u) ? values[i + k] : kNullDouble;
-      }
-    }
-    i += n;
-  }
-}
-
-int64_t DecodeSentinelRunPortable(const double* raw, double* values,
-                                  uint64_t* valid, int64_t bit_offset,
-                                  int64_t len) {
-  int64_t count = 0;
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    uint64_t m = 0;
-    for (int k = 0; k < n; ++k) {
-      const double r = raw[i + k];
-      if (std::isnan(r)) {
-        values[i + k] = 0.0;
-      } else {
-        values[i + k] = r;
-        m |= uint64_t{1} << k;
-      }
-    }
-    if (m != 0) {
-      OrBitsAt(valid, bit_offset + i, m, n);
-      count += std::popcount(m);
-    }
-    i += n;
   }
   return count;
 }
@@ -492,140 +358,6 @@ __attribute__((target("avx2,fma"))) int64_t DecodeSentinelRunAvx2(
 #endif  // OLAP_KERNELS_HAVE_AVX2
 
 // ---------------------------------------------------------------------------
-// NEON implementations (aarch64). NEON is baseline on aarch64, so no
-// runtime feature check is needed. The memory-movement kernels (copy,
-// expand, decode) reuse the portable word-blocked paths — they are
-// memcpy-dominated — while the arithmetic kernels get explicit 2-lane
-// pairs that reproduce the fixed 4-lane shape.
-// ---------------------------------------------------------------------------
-#if defined(OLAP_KERNELS_HAVE_NEON)
-
-inline float64x2_t NeonPairMask(uint64_t b0, uint64_t b1) {
-  return vreinterpretq_f64_u64(
-      vcombine_u64(vcreate_u64(b0 ? ~0ull : 0), vcreate_u64(b1 ? ~0ull : 0)));
-}
-
-RunSum MaskedRunSumNeon(const double* values, const uint64_t* valid,
-                        int64_t bit_offset, int64_t len) {
-  float64x2_t acc01 = vdupq_n_f64(0.0);  // lanes i%4 == 0, 1
-  float64x2_t acc23 = vdupq_n_f64(0.0);  // lanes i%4 == 2, 3
-  int64_t count = 0;
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(valid, bit_offset + i, n);
-    count += std::popcount(m);
-    const double* p = values + i;
-    if (n == 64 && m == ~uint64_t{0}) {
-      for (int k = 0; k < 64; k += 4) {
-        acc01 = vaddq_f64(acc01, vld1q_f64(p + k));
-        acc23 = vaddq_f64(acc23, vld1q_f64(p + k + 2));
-      }
-    } else if (m != 0) {
-      int k = 0;
-      for (; k + 4 <= n; k += 4) {
-        const unsigned nib = static_cast<unsigned>((m >> k) & 0xF);
-        if (nib == 0) continue;
-        const float64x2_t x01 = vreinterpretq_f64_u64(vandq_u64(
-            vreinterpretq_u64_f64(vld1q_f64(p + k)),
-            vreinterpretq_u64_f64(NeonPairMask(nib & 1, nib & 2))));
-        const float64x2_t x23 = vreinterpretq_f64_u64(vandq_u64(
-            vreinterpretq_u64_f64(vld1q_f64(p + k + 2)),
-            vreinterpretq_u64_f64(NeonPairMask(nib & 4, nib & 8))));
-        acc01 = vaddq_f64(acc01, x01);
-        acc23 = vaddq_f64(acc23, x23);
-      }
-      for (; k < n; ++k) {
-        if (!((m >> k) & 1u)) continue;
-        const double x = p[k];
-        switch (k & 3) {
-          case 0:
-            acc01 = vsetq_lane_f64(vgetq_lane_f64(acc01, 0) + x, acc01, 0);
-            break;
-          case 1:
-            acc01 = vsetq_lane_f64(vgetq_lane_f64(acc01, 1) + x, acc01, 1);
-            break;
-          case 2:
-            acc23 = vsetq_lane_f64(vgetq_lane_f64(acc23, 0) + x, acc23, 0);
-            break;
-          default:
-            acc23 = vsetq_lane_f64(vgetq_lane_f64(acc23, 1) + x, acc23, 1);
-            break;
-        }
-      }
-    }
-    i += n;
-  }
-  const double a0 = vgetq_lane_f64(acc01, 0);
-  const double a1 = vgetq_lane_f64(acc01, 1);
-  const double a2 = vgetq_lane_f64(acc23, 0);
-  const double a3 = vgetq_lane_f64(acc23, 1);
-  return {(a0 + a1) + (a2 + a3), count};
-}
-
-void MergeWeightedRunIntoSentinelNeon(double w, const double* src,
-                                      const uint64_t* valid,
-                                      int64_t bit_offset, double* dst,
-                                      int64_t len) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  const uint64x2_t null_bits = vdupq_n_u64(CellValue::NullStorageBits());
-  int64_t i = 0;
-  while (i < len) {
-    const int n = len - i < 64 ? static_cast<int>(len - i) : 64;
-    const uint64_t m = LoadBits(valid, bit_offset + i, n);
-    if (m != 0) {
-      const double* s = src + i;
-      double* d = dst + i;
-      int k = 0;
-      for (; k + 2 <= n; k += 2) {
-        const unsigned pair = static_cast<unsigned>((m >> k) & 0x3);
-        if (pair == 0) continue;
-        const float64x2_t dv = vld1q_f64(d + k);
-        const float64x2_t sv = vld1q_f64(s + k);
-        const uint64x2_t dnull =
-            vceqq_u64(vreinterpretq_u64_f64(dv), null_bits);
-        const float64x2_t prod = vmulq_f64(wv, sv);
-        const float64x2_t fused = vfmaq_f64(dv, wv, sv);
-        const float64x2_t merged = vbslq_f64(dnull, prod, fused);
-        const uint64x2_t sel =
-            vreinterpretq_u64_f64(NeonPairMask(pair & 1, pair & 2));
-        vst1q_f64(d + k, vbslq_f64(sel, merged, dv));
-      }
-      for (; k < n; ++k) {
-        if (!((m >> k) & 1u)) continue;
-        d[k] = IsSentinelNull(d[k]) ? w * s[k] : std::fma(w, s[k], d[k]);
-      }
-    }
-    i += n;
-  }
-}
-
-void MergeWeightedSentinelRunNeon(double w, const double* src, double* dst,
-                                  int64_t len) {
-  const float64x2_t wv = vdupq_n_f64(w);
-  const uint64x2_t null_bits = vdupq_n_u64(CellValue::NullStorageBits());
-  int64_t k = 0;
-  for (; k + 2 <= len; k += 2) {
-    const float64x2_t sv = vld1q_f64(src + k);
-    const uint64x2_t snull = vceqq_u64(vreinterpretq_u64_f64(sv), null_bits);
-    if (vgetq_lane_u64(snull, 0) && vgetq_lane_u64(snull, 1)) continue;
-    const float64x2_t dv = vld1q_f64(dst + k);
-    const uint64x2_t dnull = vceqq_u64(vreinterpretq_u64_f64(dv), null_bits);
-    const float64x2_t prod = vmulq_f64(wv, sv);
-    const float64x2_t fused = vfmaq_f64(dv, wv, sv);
-    const float64x2_t merged = vbslq_f64(dnull, prod, fused);
-    vst1q_f64(dst + k, vbslq_f64(snull, dv, merged));
-  }
-  for (; k < len; ++k) {
-    const double s = src[k];
-    if (IsSentinelNull(s)) continue;
-    dst[k] = IsSentinelNull(dst[k]) ? w * s : std::fma(w, s, dst[k]);
-  }
-}
-
-#endif  // OLAP_KERNELS_HAVE_NEON
-
-// ---------------------------------------------------------------------------
 // Dispatch.
 // ---------------------------------------------------------------------------
 
@@ -654,16 +386,6 @@ constexpr KernelTable kScalarTable = {
     DecodeSentinelRunScalarImpl,
 };
 
-constexpr KernelTable kPortableTable = {
-    Isa::kPortable,
-    MaskedRunSumPortable,
-    MergeWeightedRunIntoSentinelPortable,
-    MergeWeightedSentinelRunScalarImpl,
-    CopyRunMaskedPortable,
-    ExpandToSentinelPortable,
-    DecodeSentinelRunPortable,
-};
-
 #if defined(OLAP_KERNELS_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
     Isa::kAvx2,
@@ -676,32 +398,13 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#if defined(OLAP_KERNELS_HAVE_NEON)
-constexpr KernelTable kNeonTable = {
-    Isa::kNeon,
-    MaskedRunSumNeon,
-    MergeWeightedRunIntoSentinelNeon,
-    MergeWeightedSentinelRunNeon,
-    CopyRunMaskedPortable,
-    ExpandToSentinelPortable,
-    DecodeSentinelRunPortable,
-};
-#endif
-
 const KernelTable* ResolveTable() {
-  if (const char* force = std::getenv("OLAP_FORCE_SCALAR_KERNELS");
-      force != nullptr && force[0] != '\0' && force[0] != '0') {
-    return &kScalarTable;
-  }
 #if defined(OLAP_KERNELS_HAVE_AVX2)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return &kAvx2Table;
   }
 #endif
-#if defined(OLAP_KERNELS_HAVE_NEON)
-  return &kNeonTable;
-#endif
-  return &kPortableTable;
+  return &kScalarTable;
 }
 
 std::atomic<const KernelTable*> g_table{nullptr};
@@ -721,12 +424,8 @@ const char* IsaName(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
       return "scalar";
-    case Isa::kPortable:
-      return "portable";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -734,7 +433,7 @@ const char* IsaName(Isa isa) {
 Isa ActiveIsa() { return Active().isa; }
 
 bool SimdCompiledIn() {
-#if defined(OLAP_KERNELS_HAVE_AVX2) || defined(OLAP_KERNELS_HAVE_NEON)
+#if defined(OLAP_KERNELS_HAVE_AVX2)
   return true;
 #else
   return false;

@@ -6,41 +6,40 @@
 // Vectorized primitives over the bitmap chunk layout (dense 64-byte-aligned
 // double array + validity bitmap, see cube/chunk.h). Each primitive exists
 // twice: a `...Scalar` reference whose per-element arithmetic *defines* the
-// result, and a dispatched entry point that resolves at runtime to an AVX2
-// (x86), NEON (aarch64) or portable word-blocked implementation. Every
-// dispatched implementation is bit-identical to the scalar reference — the
-// lane shapes below are fixed independent of ISA so the reassociation
-// pattern is part of the contract, not an implementation detail:
+// result, and a dispatched entry point that resolves at runtime to the AVX2
+// implementation (x86 with AVX2+FMA) or else to the scalar reference. The
+// AVX2 implementation is bit-identical to the scalar reference — the lane
+// shapes below are fixed independent of ISA so the reassociation pattern is
+// part of the contract, not an implementation detail:
 //
 //  - MaskedRunSum uses four virtual lanes: acc[i mod 4] += v[i] for valid i,
 //    combined as (acc0+acc1)+(acc2+acc3). AVX2 keeps the four lanes in one
-//    ymm register; NEON uses two 2-lane registers; scalar keeps four
-//    doubles. Invalid elements contribute +0.0 to their lane, which is a
-//    bitwise no-op because a lane accumulator seeded with +0.0 can never
-//    become -0.0 under round-to-nearest addition.
+//    ymm register; scalar keeps four doubles. Invalid elements contribute
+//    +0.0 to their lane, which is a bitwise no-op because a lane
+//    accumulator seeded with +0.0 can never become -0.0 under
+//    round-to-nearest addition.
 //  - The merge kernels compute fma(w, src, dst) per element (one rounding,
-//    IEEE fusedMultiplyAdd — identical in std::fma, vfmadd and vfmaq) and
-//    w*src when dst is ⊥, so at w == 1.0 they reproduce plain `src + dst`
-//    and verbatim `src` exactly; the engine only merges at w == 1.0.
+//    IEEE fusedMultiplyAdd — identical in std::fma and vfmadd) and w*src
+//    when dst is ⊥, so at w == 1.0 they reproduce plain `src + dst` and
+//    verbatim `src` exactly; the engine only merges at w == 1.0.
 //
 // Values must not be NaN (⊥ lives in the bitmap / sentinel, and CellValue
 // canonicalises NaN on entry), so a computed result can never collide with
 // the sentinel bit pattern.
 namespace olap::kernels {
 
-enum class Isa { kScalar, kPortable, kAvx2, kNeon };
+enum class Isa { kScalar, kAvx2 };
 
-// "scalar" | "portable" | "avx2" | "neon".
+// "scalar" | "avx2".
 const char* IsaName(Isa isa);
 
 // The implementation the dispatched entry points currently resolve to.
-// Resolution order: ForceScalar(true) or the OLAP_FORCE_SCALAR_KERNELS
-// environment variable -> kScalar; built with OLAP_DISABLE_SIMD ->
-// kPortable; x86 with AVX2+FMA -> kAvx2; aarch64 -> kNeon; else kPortable.
+// Resolution order: ForceScalar(true) -> kScalar; x86 with AVX2+FMA (and
+// not built with OLAP_DISABLE_SIMD) -> kAvx2; else kScalar.
 Isa ActiveIsa();
 
-// False when the binary was built with -DOLAP_DISABLE_SIMD=ON (no intrinsic
-// code paths compiled in).
+// False when no intrinsic code path is compiled in: built with
+// -DOLAP_DISABLE_SIMD=ON, or for a target other than x86-64.
 bool SimdCompiledIn();
 
 // Test/bench hook: route the dispatched entry points to the scalar

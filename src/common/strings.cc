@@ -1,6 +1,8 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 namespace olap {
 
@@ -50,6 +52,19 @@ std::string_view StripWhitespace(std::string_view s) {
   size_t e = s.size();
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
+}
+
+Result<double> ParseNumberLiteral(std::string_view text, size_t offset) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, value);
+  if (r.ec == std::errc() && r.ptr == end) return value;
+  const std::string where = "numeric literal '" + std::string(text) +
+                            "' at offset " + std::to_string(offset);
+  if (r.ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument(where + " is out of range");
+  }
+  return Status::InvalidArgument("malformed " + where);
 }
 
 }  // namespace olap

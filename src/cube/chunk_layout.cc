@@ -79,9 +79,4 @@ int ChunkLayout::ChunkCoord(ChunkId id, int dim) const {
   return static_cast<int>(id % chunks_per_dim_[dim]);
 }
 
-int ChunkLayout::InExtentSize(ChunkId id, int dim) const {
-  const int base = ChunkCoord(id, dim) * chunk_sizes_[dim];
-  return std::min(chunk_sizes_[dim], extents_[dim] - base);
-}
-
 }  // namespace olap

@@ -55,12 +55,6 @@ class ChunkLayout {
   // First cell coordinate covered by the chunk, per dimension.
   std::vector<int> ChunkBase(ChunkId id) const;
 
-  // In-extent (non-padded) length of chunk `id` along `dim`: edge chunks
-  // clip to the extent, interior chunks return chunk_sizes()[dim]. Along
-  // the last dimension this is the unit-stride row length the vector
-  // kernels operate on.
-  int InExtentSize(ChunkId id, int dim) const;
-
   // Iterates all cell coords inside chunk `id` that fall within the array
   // extents, invoking fn(cell_coords, offset_in_chunk).
   template <typename Fn>

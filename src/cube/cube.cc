@@ -180,19 +180,6 @@ const Chunk* Cube::FindChunk(ChunkId id) const {
   return it == chunks_.end() ? nullptr : &it->second;
 }
 
-void Cube::AdoptChunk(ChunkId id, Chunk&& chunk) {
-  assert(chunk.size() == layout_.cells_per_chunk());
-  auto [it, inserted] = chunks_.emplace(id, std::move(chunk));
-  (void)it;
-  assert(inserted && "AdoptChunk: chunk id already stored");
-  (void)inserted;
-}
-
-void Cube::ReplaceChunk(ChunkId id, Chunk&& chunk) {
-  assert(chunk.size() == layout_.cells_per_chunk());
-  chunks_.insert_or_assign(id, std::move(chunk));
-}
-
 void Cube::EraseChunk(ChunkId id) { chunks_.erase(id); }
 
 void Cube::AdoptChunks(std::map<ChunkId, Chunk>&& m) {

@@ -114,19 +114,12 @@ class Cube {
   // Chunk for writing, created empty (all-⊥) on first touch.
   Chunk* GetOrCreateChunk(ChunkId id);
 
-  // Installs a fully built chunk under `id` (moving it). The chunk must
-  // match the layout's cells_per_chunk and `id` must not already be stored.
-  // Used by the parallel what-if kernels to merge per-task partial outputs.
-  void AdoptChunk(ChunkId id, Chunk&& chunk);
-
-  // Bulk AdoptChunk: splices every chunk of `m` into this cube without
+  // Splices every fully built chunk of `m` into this cube without
   // reallocating map nodes; ids already stored instead merge their non-⊥
   // cells into the existing chunk (⊥-skipping overwrite). `m` is left
-  // empty. Every chunk must match the layout's cells_per_chunk.
+  // empty. Every chunk must match the layout's cells_per_chunk. Used by the
+  // parallel what-if kernels to merge per-task partial outputs.
   void AdoptChunks(std::map<ChunkId, Chunk>&& m);
-
-  // Swaps in a fully built chunk under `id`, creating it when absent.
-  void ReplaceChunk(ChunkId id, Chunk&& chunk);
 
   // Drops the chunk stored under `id` (no-op when absent); every cell of
   // that chunk reads ⊥ afterwards.

@@ -114,6 +114,13 @@ Status Database::ApplyCellEdits(std::string_view cube_name,
   if (entry == nullptr) {
     return Status::NotFound("no cube named '" + std::string(cube_name) + "'");
   }
+  // All or nothing: every write is checked before the first one lands, so
+  // a rejected batch leaves the cube, its version and its views as they
+  // were.
+  DeltaBatch batch(&entry->cube);
+  for (const CellWrite& w : writes) {
+    OLAP_RETURN_IF_ERROR(batch.CheckCoords(w.coords));
+  }
   AggregateCache* cache = entry->aggregates.get();
   if (cache != nullptr && !cache->incremental() &&
       cache->key() == CacheKey{entry->version, 0, entry->epoch}) {
@@ -122,7 +129,6 @@ Status Database::ApplyCellEdits(std::string_view cube_name,
     // pass — it is bypassed by the executor anyway.
     cache->EnableIncrementalMaintenance(entry->cube);
   }
-  DeltaBatch batch(&entry->cube);
   for (const CellWrite& w : writes) {
     OLAP_RETURN_IF_ERROR(batch.Set(w.coords, w.value));
   }

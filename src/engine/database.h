@@ -75,12 +75,13 @@ class Database : public mdx::NameResolver {
   };
 
   // Applies a stream of cell writes to the named cube through a DeltaBatch,
-  // bumps the cube version, and patches the cube's materialized
-  // aggregations in place instead of stranding them: the first feed builds
-  // the cache's contribution-count sidecar (one chunk pass), after which
-  // each write is a handful of per-view cell updates. The cache's key is
-  // bumped in lockstep with the cube version, so the executor keeps
-  // serving from it.
+  // all or nothing (a write outside the cube's extents rejects the whole
+  // feed before any write lands), bumps the cube version, and patches the
+  // cube's materialized aggregations in place instead of stranding them:
+  // the first feed builds the cache's contribution-count sidecar (one chunk
+  // pass), after which each write is a handful of per-view cell updates.
+  // The cache's key is bumped in lockstep with the cube version, so the
+  // executor keeps serving from it.
   Status ApplyCellEdits(std::string_view cube_name,
                         const std::vector<CellWrite>& writes,
                         EditStats* stats = nullptr);

@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "common/strings.h"
+
 namespace olap::mdx {
 
 Result<std::vector<Token>> Lex(std::string_view text) {
@@ -41,7 +43,9 @@ Result<std::vector<Token>> Lex(std::string_view text) {
       }
       tok.kind = Token::kNumber;
       tok.text = std::string(text.substr(pos, end - pos));
-      tok.number = std::stod(tok.text);
+      Result<double> number = ParseNumberLiteral(tok.text, pos);
+      if (!number.ok()) return number.status();
+      tok.number = *number;
       pos = end;
       out.push_back(std::move(tok));
       continue;

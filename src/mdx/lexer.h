@@ -26,7 +26,7 @@ struct Token {
 
 // Tokenises `text`. Keywords are not distinguished here — the parser matches
 // identifiers case-insensitively. Returns INVALID_ARGUMENT on unterminated
-// bracket names.
+// bracket names and on numeric literals that are malformed or out of range.
 Result<std::vector<Token>> Lex(std::string_view text);
 
 }  // namespace olap::mdx

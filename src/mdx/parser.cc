@@ -1,6 +1,8 @@
 #include "mdx/parser.h"
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "common/strings.h"
@@ -128,6 +130,20 @@ class Parser {
   Status Error(std::string msg) const {
     return Status::InvalidArgument(msg + " (at offset " +
                                    std::to_string(peek().offset) + ")");
+  }
+  // Takes the numeric token of an integer context (an axis ordinal, a
+  // count, a depth or a level): `expected` names it when the token is not a
+  // number, and a value outside [0, INT_MAX] is rejected before the cast.
+  Result<int> TakeCount(const char* expected) {
+    if (peek().kind != Token::kNumber) return Error(expected);
+    const double value = peek().number;
+    if (!(value >= 0.0 &&
+          value <= static_cast<double>(std::numeric_limits<int>::max()))) {
+      return Error("'" + peek().text + "' is outside [0, " +
+                   std::to_string(std::numeric_limits<int>::max()) + "]");
+    }
+    Take();
+    return static_cast<int>(value);
   }
 
   // --- WITH clause ---------------------------------------------------------
@@ -351,8 +367,9 @@ class Parser {
     }
     if (TakeKeyword("AXIS")) {
       if (!TakeSymbol('(')) return Error("expected '(' after AXIS");
-      if (peek().kind != Token::kNumber) return Error("expected axis number");
-      axis->ordinal = static_cast<int>(Take().number);
+      Result<int> ordinal = TakeCount("expected axis number");
+      if (!ordinal.ok()) return ordinal.status();
+      axis->ordinal = *ordinal;
       if (!TakeSymbol(')')) return Error("expected ')' after axis number");
       return Status::Ok();
     }
@@ -421,10 +438,9 @@ class Parser {
         if (!a.ok()) return a.status();
         node->args.push_back(std::move(*a));
         if (!TakeSymbol(',')) return Error("expected ',' in Head/Tail");
-        if (peek().kind != Token::kNumber) {
-          return Error("expected count in Head/Tail");
-        }
-        node->number = static_cast<int>(Take().number);
+        Result<int> count = TakeCount("expected count in Head/Tail");
+        if (!count.ok()) return count.status();
+        node->number = *count;
         if (!TakeSymbol(')')) return Error("expected ')'");
         return node;
       }
@@ -462,10 +478,10 @@ class Parser {
         if (!set.ok()) return set.status();
         node->args.push_back(std::move(*set));
         if (!TakeSymbol(',')) return Error("expected ',' in TopCount");
-        if (peek().kind != Token::kNumber) {
-          return Error("expected count in TopCount/BottomCount");
-        }
-        node->number = static_cast<int>(Take().number);
+        Result<int> count =
+            TakeCount("expected count in TopCount/BottomCount");
+        if (!count.ok()) return count.status();
+        node->number = *count;
         if (!TakeSymbol(',')) return Error("expected ',' in TopCount");
         Result<std::vector<std::string>> path = ParsePathComponents();
         if (!path.ok()) return path.status();
@@ -516,10 +532,9 @@ class Parser {
         if (!path.ok()) return path.status();
         node->path = std::move(*path);
         if (TakeSymbol(',')) {
-          if (peek().kind != Token::kNumber) {
-            return Error("expected depth in Descendants");
-          }
-          node->number = static_cast<int>(Take().number);
+          Result<int> depth = TakeCount("expected depth in Descendants");
+          if (!depth.ok()) return depth.status();
+          node->number = *depth;
           if (TakeSymbol(',')) {
             Result<std::string> flag = TakeName("Descendants flag");
             if (!flag.ok()) return flag.status();
@@ -565,8 +580,9 @@ class Parser {
         node->kind = SetExpr::Kind::kMembers;
       } else if (TakeKeyword("Levels")) {
         if (!TakeSymbol('(')) return Error("expected '(' after Levels");
-        if (peek().kind != Token::kNumber) return Error("expected level number");
-        node->number = static_cast<int>(Take().number);
+        Result<int> level = TakeCount("expected level number");
+        if (!level.ok()) return level.status();
+        node->number = *level;
         if (!TakeSymbol(')')) return Error("expected ')' after level number");
         if (!TakeSymbol('.') || !TakeKeyword("Members")) {
           return Error("expected .Members after Levels(n)");

@@ -22,6 +22,9 @@ class Lexer {
   explicit Lexer(std::string_view text) : text_(text) { Advance(); }
 
   const Token& peek() const { return current_; }
+  // The first lexical error (a bad numeric literal); lexing stops there and
+  // the token stream reads as ended.
+  const Status& status() const { return status_; }
   Token Take() {
     Token t = current_;
     Advance();
@@ -69,7 +72,14 @@ class Lexer {
         ++end;
       }
       std::string num(text_.substr(pos_, end - pos_));
-      current_ = Token{Token::kNumber, num, std::stod(num)};
+      Result<double> number = ParseNumberLiteral(num, pos_);
+      if (!number.ok()) {
+        status_ = number.status();
+        current_ = Token{Token::kEnd, "", 0.0};
+        pos_ = text_.size();
+        return;
+      }
+      current_ = Token{Token::kNumber, num, *number};
       pos_ = end;
       return;
     }
@@ -91,6 +101,7 @@ class Lexer {
   std::string_view text_;
   size_t pos_ = 0;
   Token current_;
+  Status status_;
 };
 
 class RuleParser {
@@ -98,7 +109,16 @@ class RuleParser {
   RuleParser(const Schema& schema, std::string_view text)
       : schema_(schema), lexer_(text), text_(text) {}
 
+  // A lexical error outranks whatever the parser made of the truncated
+  // token stream.
   Result<Rule> Parse() {
+    Result<Rule> rule = ParseTokens();
+    if (!lexer_.status().ok()) return lexer_.status();
+    return rule;
+  }
+
+ private:
+  Result<Rule> ParseTokens() {
     Rule rule;
     rule.source_text = std::string(StripWhitespace(text_));
     if (lexer_.TakeKeyword("FOR")) {
@@ -122,7 +142,6 @@ class RuleParser {
     return rule;
   }
 
- private:
   Status ParseScope(Rule* rule) {
     while (true) {
       Token dim_tok = lexer_.Take();

@@ -15,7 +15,6 @@ namespace olap {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'O', 'L', 'A', 'P', 'C', 'U', 'B', '1'};
 constexpr char kMagicV2[8] = {'O', 'L', 'A', 'P', 'C', 'U', 'B', '2'};
 
 // Section tags: folded into each section's CRC32C for domain separation
@@ -26,8 +25,7 @@ constexpr char kTagLayout[4] = {'L', 'A', 'Y', 'T'};
 constexpr char kTagChunkDir[4] = {'C', 'D', 'I', 'R'};
 constexpr char kTagChunk[4] = {'C', 'H', 'N', 'K'};
 
-// Serializes primitives into an in-memory buffer (native little-endian,
-// matching the v1 stream format byte for byte).
+// Serializes primitives into an in-memory buffer (native little-endian).
 class BufWriter {
  public:
   explicit BufWriter(std::string* out) : out_(out) {}
@@ -151,8 +149,7 @@ uint32_t ChunkRecordCrc(uint64_t id, uint32_t nbytes, std::string_view payload) 
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (shared between format versions; the payload encodings are
-// identical, only the framing differs).
+// Serialization.
 
 std::string SerializeSchema(const Cube& cube) {
   std::string out;
@@ -206,7 +203,7 @@ std::string SerializeChunkPayload(const Chunk& chunk, bool compress) {
     out.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   } else {
     // Bulk bitmap->sentinel expansion (one kernel pass), then one append:
-    // the disk format stays the v1 sentinel-double stream byte for byte.
+    // the disk format is the sentinel-double stream, byte for byte.
     BufWriter w(&out);
     std::vector<double> sentinel(static_cast<size_t>(chunk.size()));
     chunk.FillSentinel(sentinel.data());
@@ -216,7 +213,7 @@ std::string SerializeChunkPayload(const Chunk& chunk, bool compress) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing (shared).
+// Parsing.
 
 Status ParseSchema(ByteReader& r, Schema* out) {
   uint32_t num_dims = r.U32();
@@ -405,34 +402,6 @@ Status WriteCubeFileV2(const Cube& cube, const SaveOptions& options,
   return chunk_status;
 }
 
-Status WriteCubeFileV1(const Cube& cube, const SaveOptions& options,
-                       WritableFile* file) {
-  std::string head(kMagicV1, sizeof(kMagicV1));
-  BufWriter hw(&head);
-  hw.U32(options.compress ? 1 : 0);
-  OLAP_RETURN_IF_ERROR(file->Append(head));
-  OLAP_RETURN_IF_ERROR(file->Append(SerializeSchema(cube)));
-  OLAP_RETURN_IF_ERROR(file->Append(SerializeLayout(cube)));
-
-  std::string count;
-  BufWriter cw(&count);
-  cw.U64(static_cast<uint64_t>(cube.NumStoredChunks()));
-  OLAP_RETURN_IF_ERROR(file->Append(count));
-
-  Status chunk_status;
-  cube.ForEachChunk([&](ChunkId id, const Chunk& chunk) {
-    if (!chunk_status.ok()) return;
-    std::string record;
-    BufWriter w(&record);
-    w.U64(static_cast<uint64_t>(id));
-    std::string payload = SerializeChunkPayload(chunk, options.compress);
-    if (options.compress) w.U32(static_cast<uint32_t>(payload.size()));
-    w.Raw(payload.data(), payload.size());
-    chunk_status = file->Append(record);
-  });
-  return chunk_status;
-}
-
 // ---------------------------------------------------------------------------
 // Reading.
 
@@ -572,65 +541,8 @@ Result<Cube> LoadV2(std::string_view data, const std::string& path,
   return cube;
 }
 
-Result<Cube> LoadV1(std::string_view data, const std::string& path,
-                    const LoadOptions& options) {
-  ByteReader r(data);
-  r.Skip(sizeof(kMagicV1));
-  uint32_t flags = r.U32();
-  if (!r.ok() || flags > 1) {
-    return Status::DataLoss("'" + path + "': unknown cube file flags");
-  }
-  const bool compressed = flags == 1;
-
-  Schema schema;
-  OLAP_RETURN_IF_ERROR(ParseSchema(r, &schema));
-  const int num_dims = schema.num_dimensions();
-  CubeOptions cube_options;
-  OLAP_RETURN_IF_ERROR(ParseLayout(r, num_dims, &cube_options));
-  Cube cube(std::move(schema), cube_options);
-  const int64_t cells_per_chunk = cube.layout().cells_per_chunk();
-
-  uint64_t num_chunks = r.U64();
-  if (!r.ok() || num_chunks > r.remaining() / 8) {
-    return Status::DataLoss("'" + path + "': corrupt chunk count");
-  }
-  for (uint64_t c = 0; c < num_chunks; ++c) {
-    uint64_t id = r.U64();
-    if (!r.ok() || static_cast<int64_t>(id) >= cube.layout().num_chunks()) {
-      return Status::DataLoss("'" + path + "': corrupt chunk id");
-    }
-    Chunk* chunk = cube.GetOrCreateChunk(static_cast<ChunkId>(id));
-    if (compressed) {
-      uint32_t nbytes = r.U32();
-      if (!r.ok() || nbytes > r.remaining()) {
-        return Status::DataLoss("'" + path + "': truncated compressed chunk");
-      }
-      OLAP_RETURN_IF_ERROR(DecodeChunkPayload(r.Bytes(nbytes), /*compressed=*/true,
-                                              cells_per_chunk, chunk));
-    } else {
-      std::string_view payload =
-          r.Bytes(static_cast<size_t>(cells_per_chunk) * 8);
-      if (!r.ok()) {
-        return Status::DataLoss("'" + path + "': truncated chunk data");
-      }
-      OLAP_RETURN_IF_ERROR(DecodeChunkPayload(payload, /*compressed=*/false,
-                                              cells_per_chunk, chunk));
-    }
-  }
-  if (options.report != nullptr) {
-    *options.report = RecoveryReport{};
-    options.report->chunks_total = static_cast<int64_t>(num_chunks);
-    options.report->chunks_salvaged = static_cast<int64_t>(num_chunks);
-  }
-  return cube;
-}
-
 Status SaveCubeImpl(const Cube& cube, const std::string& path,
                     const SaveOptions& options) {
-  if (options.format_version != 1 && options.format_version != 2) {
-    return Status::InvalidArgument("unsupported cube format version " +
-                                   std::to_string(options.format_version));
-  }
   Env* env = options.env != nullptr ? options.env : Env::Default();
 
   // Durability protocol: write a temp file, fsync, then atomically rename
@@ -640,9 +552,7 @@ Status SaveCubeImpl(const Cube& cube, const std::string& path,
   Result<std::unique_ptr<WritableFile>> file = env->NewWritableFile(tmp);
   if (!file.ok()) return file.status();
 
-  Status written = options.format_version == 2
-                       ? WriteCubeFileV2(cube, options, file->get())
-                       : WriteCubeFileV1(cube, options, file->get());
+  Status written = WriteCubeFileV2(cube, options, file->get());
   if (written.ok() && options.sync) written = (*file)->Sync();
   Status closed = (*file)->Close();
   if (written.ok()) written = closed;
@@ -668,9 +578,6 @@ Result<Cube> LoadCubeImpl(const std::string& path, const LoadOptions& options) {
   }
   if (std::memcmp(data.data(), kMagicV2, sizeof(kMagicV2)) == 0) {
     return LoadV2(data, path, options);
-  }
-  if (std::memcmp(data.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-    return LoadV1(data, path, options);
   }
   return Status::InvalidArgument("'" + path + "' is not an OLAP cube file");
 }

@@ -48,16 +48,14 @@ namespace olap {
 // closes, then renames over `path` (POSIX rename atomicity). A crash at
 // any point leaves either the complete old file or the complete new file.
 //
-// ## Version 1 compatibility
+// ## Malformed input
 //
-// Files with magic "OLAPCUB1" (no checksums, unframed chunk records) are
-// still read. LoadCube detects the version from the magic; SaveOptions
-// can still write v1 for compatibility testing. LoadCube rejects unknown
-// magics with kInvalidArgument and any corruption with kDataLoss — it
-// returns a typed Status on every malformed input, never crashes.
+// LoadCube rejects any magic other than "OLAPCUB2" with kInvalidArgument
+// and any corruption with kDataLoss — it returns a typed Status on every
+// malformed input, never crashes.
 
 // Number of chunk records inspected/salvaged by a LoadCube call (recovery
-// reporting; all zero when loading a v1 file strictly).
+// reporting).
 struct RecoveryReport {
   int64_t chunks_total = 0;     // Records present in the directory.
   int64_t chunks_salvaged = 0;  // Records decoded with a valid CRC.
@@ -69,9 +67,6 @@ struct SaveOptions {
   // fsync before the final rename. Disable only where durability does not
   // matter (benchmarks).
   bool sync = true;
-  // 2 writes OLAPCUB2 (checksummed); 1 writes the legacy OLAPCUB1 format,
-  // kept so read-compatibility stays tested.
-  int format_version = 2;
   Env* env = nullptr;  // nullptr -> Env::Default().
 };
 

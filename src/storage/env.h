@@ -11,8 +11,8 @@ namespace olap {
 
 // File-system abstraction in the LevelDB tradition. Every byte the storage
 // layer moves to or from disk goes through an Env, so tests can substitute
-// a FaultInjectingEnv (storage/fault_env.h) and exercise torn writes,
-// transient outages and bit rot without touching real hardware.
+// a fault-injecting decorator and exercise torn writes, transient outages
+// and bit rot without touching real hardware.
 //
 // Error mapping contract (shared by all implementations):
 //   * missing file                       -> kNotFound

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/cancellation.h"
 #include "common/rng.h"
@@ -66,28 +65,6 @@ class Clock {
   }
   // The process-wide wall clock (never null, never deleted).
   static Clock* Real();
-};
-
-// Records requested sleeps instead of performing them. Cancellation is
-// still observed: an already-tripped token interrupts the (recorded)
-// sleep, so retry-cancellation tests run without real waiting.
-class FakeClock : public Clock {
- public:
-  void SleepFor(double seconds) override { sleeps_.push_back(seconds); }
-  bool SleepInterruptible(double seconds,
-                          const CancellationToken& cancel) override {
-    sleeps_.push_back(seconds);
-    return cancel.ShouldStop();
-  }
-  const std::vector<double>& sleeps() const { return sleeps_; }
-  double total_slept() const {
-    double total = 0;
-    for (double s : sleeps_) total += s;
-    return total;
-  }
-
- private:
-  std::vector<double> sleeps_;
 };
 
 namespace retry_internal {

@@ -57,7 +57,7 @@ class ScopedReservation {
 // DeltaBatch
 // ---------------------------------------------------------------------------
 
-Status DeltaBatch::Set(const std::vector<int>& coords, CellValue v) {
+Status DeltaBatch::CheckCoords(const std::vector<int>& coords) const {
   if (static_cast<int>(coords.size()) != base_->num_dims()) {
     return Status::InvalidArgument("expected one coordinate per dimension");
   }
@@ -67,6 +67,11 @@ Status DeltaBatch::Set(const std::vector<int>& coords, CellValue v) {
       return Status::OutOfRange("coordinate outside the cube extents");
     }
   }
+  return Status::Ok();
+}
+
+Status DeltaBatch::Set(const std::vector<int>& coords, CellValue v) {
+  OLAP_RETURN_IF_ERROR(CheckCoords(coords));
   CellEdit edit;
   edit.coords = coords;
   edit.old_storage = CellValue::ToStorage(base_->GetCell(coords));

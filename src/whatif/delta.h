@@ -60,8 +60,15 @@ class DeltaBatch {
   // while the batch records.
   explicit DeltaBatch(Cube* base) : base_(base) {}
 
+  // Writes `v` at `coords` once CheckCoords accepts them.
   Status Set(const std::vector<int>& coords, CellValue v);
   Status SetByName(const std::vector<std::string>& path_names, CellValue v);
+
+  // The check Set makes before it writes: one in-extent coordinate per
+  // dimension of the base cube (kInvalidArgument / kOutOfRange otherwise).
+  // A caller that applies a whole batch or nothing runs it over every
+  // write before the first Set.
+  Status CheckCoords(const std::vector<int>& coords) const;
 
   Cube* base() const { return base_; }
   const std::vector<CellEdit>& edits() const { return edits_; }

@@ -324,7 +324,7 @@ Cube ApplyDestTable(const Cube& in, Schema schema_out, int varying_dim,
   return out;
 }
 
-// The transformed schema shared by Relocate and RelocateReference.
+// Relocate's output schema: the scoped instances take their vs_out.
 Schema RelocateSchema(const Cube& in, int varying_dim,
                       const std::vector<DynamicBitset>& vs_out,
                       const std::unordered_set<MemberId>& scope,
@@ -340,30 +340,8 @@ Schema RelocateSchema(const Cube& in, int varying_dim,
   return schema_out;
 }
 
-// dst_of[member][t]: the output instance owning moment t under vs_out.
-// Phi guarantees the vs_out of one member's instances stay disjoint, so
-// the assignment is unique (asserted).
-std::unordered_map<MemberId, std::vector<int>> RelocateDstOf(
-    const Dimension& d_in, const std::vector<DynamicBitset>& vs_out,
-    const std::unordered_set<MemberId>& scope, bool scope_all) {
-  std::unordered_map<MemberId, std::vector<int>> dst_of;
-  for (const MemberInstance& inst : d_in.instances()) {
-    if (!scope_all && scope.count(inst.member) == 0) continue;
-    auto [it, unused] = dst_of.try_emplace(
-        inst.member, std::vector<int>(d_in.parameter_leaf_count(), -1));
-    (void)unused;
-    const DynamicBitset& vs = vs_out[inst.id];
-    for (int t = vs.FindFirst(); t >= 0; t = vs.FindNext(t + 1)) {
-      assert(it->second[t] == -1 && "output validity sets must be disjoint");
-      it->second[t] = inst.id;
-    }
-  }
-  return dst_of;
-}
-
 // Applies the change tuples of a Split to the metadata sequentially,
-// producing the output schema and the set of touched members. Shared by
-// Split and SplitReference.
+// producing the output schema and the set of touched members.
 Result<Schema> SplitSchema(const Cube& in, int varying_dim,
                            const ChangeRelation& r,
                            std::unordered_set<MemberId>* touched) {
@@ -528,10 +506,10 @@ Cube Relocate(const Cube& in, int varying_dim,
   const bool scope_all = scope.empty();
   Schema schema_out = RelocateSchema(in, varying_dim, vs_out, scope, scope_all);
   // dst_flat[member * universe + t]: the output instance owning moment t
-  // under vs_out, or -1. Flat arrays keyed by member id replace the
-  // unordered_map<MemberId, vector<int>> of the reference path — building
-  // that map costs thousands of small allocations, which on wide dimensions
-  // dwarfs the kernel's actual data movement.
+  // under vs_out, or -1. Flat arrays keyed by member id, not a map of
+  // per-member vectors: building that map costs thousands of small
+  // allocations, which on wide dimensions dwarfs the kernel's actual data
+  // movement.
   const int universe = d_in.parameter_leaf_count();
   MemberId max_member = -1;
   for (const MemberInstance& inst : d_in.instances()) {
@@ -574,80 +552,6 @@ Cube Relocate(const Cube& in, int varying_dim,
   return out;
 }
 
-Cube RelocateReference(const Cube& in, int varying_dim,
-                       const std::vector<DynamicBitset>& vs_out,
-                       const std::vector<MemberId>& scope_members,
-                       bool copy_out_of_scope, int64_t* cells_moved) {
-  const Schema& schema_in = in.schema();
-  const Dimension& d_in = schema_in.dimension(varying_dim);
-  assert(d_in.is_varying());
-  assert(static_cast<int>(vs_out.size()) == d_in.num_instances());
-  const int param_dim = schema_in.parameter_of(varying_dim);
-  assert(param_dim >= 0);
-
-  std::unordered_set<MemberId> scope(scope_members.begin(), scope_members.end());
-  const bool scope_all = scope.empty();
-  Schema schema_out = RelocateSchema(in, varying_dim, vs_out, scope, scope_all);
-  std::unordered_map<MemberId, std::vector<int>> dst_of =
-      RelocateDstOf(d_in, vs_out, scope, scope_all);
-
-  Cube out(schema_out, OptionsOf(in));
-  int64_t moved = 0;
-  std::vector<int> dst_coords;
-  auto relocate_cell = [&](const std::vector<int>& coords, CellValue v) {
-    const MemberInstance& inst = d_in.instance(coords[varying_dim]);
-    auto it = dst_of.find(inst.member);
-    if (it == dst_of.end()) {  // Out of scope.
-      if (copy_out_of_scope) {
-        out.SetCell(coords, v);
-        ++moved;
-      }
-      return;
-    }
-    const int t = coords[param_dim];
-    if (!inst.validity.Test(t)) return;
-    const int dst = it->second[t];
-    if (dst < 0) return;  // No output instance claims this moment.
-    dst_coords = coords;
-    dst_coords[varying_dim] = dst;
-    out.SetCell(dst_coords, v);
-    ++moved;
-  };
-
-  if (!scope_all && !copy_out_of_scope) {
-    // Scoped relocation that drops out-of-scope data only needs to visit
-    // the chunks holding scoped instances (the Sec. 6.3 confinement).
-    std::vector<bool> wanted(d_in.num_positions(), false);
-    for (const MemberInstance& inst : d_in.instances()) {
-      if (scope.count(inst.member) > 0) wanted[inst.id] = true;
-    }
-    const ChunkLayout& layout = in.layout();
-    const int width = layout.chunk_sizes()[varying_dim];
-    in.ForEachChunk([&](ChunkId id, const Chunk& chunk) {
-      int chunk_base = layout.ChunkBase(id)[varying_dim];
-      bool relevant = false;
-      for (int pos = chunk_base;
-           pos < chunk_base + width && pos < d_in.num_positions(); ++pos) {
-        if (wanted[pos]) {
-          relevant = true;
-          break;
-        }
-      }
-      if (!relevant) return;
-      layout.ForEachCellInChunk(id, [&](const std::vector<int>& coords,
-                                        int64_t offset) {
-        if (!chunk.IsNull(offset)) {
-          relocate_cell(coords, CellValue(chunk.ValueAt(offset)));
-        }
-      });
-    });
-  } else {
-    in.ForEachCell(relocate_cell);
-  }
-  if (cells_moved != nullptr) *cells_moved += moved;
-  return out;
-}
-
 Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
                    int threads, const CancellationToken& cancel,
                    DestTable* applied) {
@@ -685,38 +589,6 @@ Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
   Cube out = ApplyDestTable(in, *std::move(schema_out), varying_dim, param_dim,
                             table, threads, nullptr, cancel);
   if (applied != nullptr) *applied = std::move(table);
-  return out;
-}
-
-Result<Cube> SplitReference(const Cube& in, int varying_dim,
-                            const ChangeRelation& r) {
-  std::unordered_set<MemberId> touched;
-  Result<Schema> schema_out = SplitSchema(in, varying_dim, r, &touched);
-  if (!schema_out.ok()) return schema_out.status();
-  const Dimension& d_in = in.schema().dimension(varying_dim);
-  const Dimension& d_out = schema_out->dimension(varying_dim);
-  const int param_dim = in.schema().parameter_of(varying_dim);
-
-  std::unordered_map<MemberId, std::vector<int>> owner_out;
-  for (MemberId m : touched) owner_out[m] = OwnerByMoment(d_out, m);
-
-  Cube out(*schema_out, OptionsOf(in));
-  std::vector<int> dst_coords;
-  in.ForEachCell([&](const std::vector<int>& coords, CellValue v) {
-    const MemberInstance& inst = d_in.instance(coords[varying_dim]);
-    auto it = owner_out.find(inst.member);
-    if (it == owner_out.end()) {
-      out.SetCell(coords, v);
-      return;
-    }
-    const int t = coords[param_dim];
-    if (!inst.validity.Test(t)) return;  // Data at an invalid instance.
-    const int dst = it->second[t];
-    if (dst < 0) return;
-    dst_coords = coords;
-    dst_coords[varying_dim] = dst;
-    out.SetCell(dst_coords, v);
-  });
   return out;
 }
 
@@ -798,13 +670,9 @@ void CollectSeedCells(const Cube& cube, int varying_dim, MemberId source,
 
 // The seeding half of Introduce, applied to the already-widened cube.
 // Strictly serial and ordered (specs in order; cells in coordinate order).
-// `collect(cube, varying_dim, source, from_moment, &moves)` gathers a
-// rule's source cells in any order: the operator passes CollectSeedCells,
-// the reference a whole-cube scan.
-template <typename Collect>
 Status SeedIntroducedCells(Cube* out, int varying_dim,
                            const std::vector<NewMemberSpec>& specs,
-                           int64_t* cells_seeded, Collect&& collect) {
+                           int64_t* cells_seeded) {
   const Dimension& d = out->schema().dimension(varying_dim);
   for (const NewMemberSpec& spec : specs) {
     if (spec.inner || spec.seed == NewMemberSpec::Seed::kNone) continue;
@@ -836,7 +704,7 @@ Status SeedIntroducedCells(Cube* out, int varying_dim,
     // Collect first (mutating while iterating is unsound), then apply in
     // coordinate order so the result is independent of visit order.
     SeedMoves moves;
-    collect(*out, varying_dim, *source, spec.from_moment, &moves);
+    CollectSeedCells(*out, varying_dim, *source, spec.from_moment, &moves);
     std::sort(moves.begin(), moves.end());
     int64_t seeded = 0;
     std::vector<int> dst_coords;
@@ -886,41 +754,11 @@ Result<Cube> IntroduceMembers(const Cube& in, int varying_dim,
     op_span.SetError(s);
     return s;
   }
-  Status seeded = SeedIntroducedCells(&out, varying_dim, specs, cells_seeded,
-                                      CollectSeedCells);
+  Status seeded = SeedIntroducedCells(&out, varying_dim, specs, cells_seeded);
   if (!seeded.ok()) {
     op_span.SetError(seeded);
     return seeded;
   }
-  return out;
-}
-
-Result<Cube> IntroduceMembersReference(const Cube& in, int varying_dim,
-                                       const std::vector<NewMemberSpec>& specs,
-                                       int64_t* cells_seeded) {
-  Schema schema_out = in.schema();
-  Status applied = ApplyIntroductions(&schema_out, varying_dim, specs);
-  if (!applied.ok()) return applied;
-  Cube out(schema_out, OptionsOf(in));
-  in.ForEachCell(
-      [&](const std::vector<int>& coords, CellValue v) { out.SetCell(coords, v); });
-  // Seeds from a scan of every stored cell, independent of the instance
-  // index and the chunk filter CollectSeedCells relies on.
-  Status seeded = SeedIntroducedCells(
-      &out, varying_dim, specs, cells_seeded,
-      [](const Cube& cube, int dim, MemberId source, int from_moment,
-         SeedMoves* moves) {
-        const Dimension& d = cube.schema().dimension(dim);
-        const int param_dim = cube.schema().parameter_of(dim);
-        cube.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
-          const MemberInstance& inst = d.instance(coords[dim]);
-          if (inst.member != source) return;
-          const int t = coords[param_dim];
-          if (t < from_moment || !inst.validity.Test(t)) return;
-          moves->emplace_back(coords, v.value());
-        });
-      });
-  if (!seeded.ok()) return seeded;
   return out;
 }
 

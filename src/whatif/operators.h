@@ -89,8 +89,8 @@ struct DestTable {
 // precomputed along the varying/parameter dimensions, then contiguous cell
 // runs are copied chunk-to-chunk (Chunk::CopyRunFrom), partitioned across
 // `threads` pool workers by source-chunk range with per-task outputs merged
-// deterministically. The result is bit-identical to RelocateReference at
-// every thread count.
+// deterministically. The result is bit-identical to a serial cell-at-a-time
+// relocation at every thread count.
 //
 // `cancel` is polled at source-chunk granularity; a pass that observes a
 // stop request returns a partially-filled output cube that the caller must
@@ -104,15 +104,6 @@ Cube Relocate(const Cube& in, int varying_dim,
               bool copy_out_of_scope = true, int64_t* cells_moved = nullptr,
               int threads = 1, const CancellationToken& cancel = {},
               DestTable* applied = nullptr);
-
-// The serial cell-at-a-time implementation of Relocate (ForEachCell +
-// SetCell per cell). Kept as the oracle for the randomized equivalence
-// tests and the bench_kernels baseline; not used on the query path.
-Cube RelocateReference(const Cube& in, int varying_dim,
-                       const std::vector<DynamicBitset>& vs_out,
-                       const std::vector<MemberId>& scope_members = {},
-                       bool copy_out_of_scope = true,
-                       int64_t* cells_moved = nullptr);
 
 // ---------------------------------------------------------------------------
 // Split (Definition 4.5) — positive scenarios
@@ -139,10 +130,6 @@ using ChangeRelation = std::vector<ChangeTuple>;
 Result<Cube> Split(const Cube& in, int varying_dim, const ChangeRelation& r,
                    int threads = 1, const CancellationToken& cancel = {},
                    DestTable* applied = nullptr);
-
-// Serial cell-at-a-time Split, the oracle for equivalence tests/bench.
-Result<Cube> SplitReference(const Cube& in, int varying_dim,
-                            const ChangeRelation& r);
 
 // ---------------------------------------------------------------------------
 // Introduce — hypothetical new dimension values (positive schema delta)
@@ -195,11 +182,6 @@ Result<Cube> IntroduceMembers(const Cube& in, int varying_dim,
                               int threads = 1,
                               const CancellationToken& cancel = {},
                               int64_t* cells_seeded = nullptr);
-
-// Serial cell-at-a-time Introduce, the oracle for equivalence tests.
-Result<Cube> IntroduceMembersReference(const Cube& in, int varying_dim,
-                                       const std::vector<NewMemberSpec>& specs,
-                                       int64_t* cells_seeded = nullptr);
 
 // ---------------------------------------------------------------------------
 // Allocate — data-driven hypothetical scenarios

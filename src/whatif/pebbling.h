@@ -38,11 +38,6 @@ PebbleResult HeuristicPebble(const MergeGraph& g);
 // orders against the heuristic.
 int PeakPebblesForOrder(const MergeGraph& g, const std::vector<int>& order);
 
-// Exhaustive branch-and-bound minimiser of the peak pebble count.
-// Exponential — intended for test graphs (<= ~14 nodes). Returns the
-// optimal peak, or -1 when the graph exceeds `max_nodes`.
-int OptimalPeakPebbles(const MergeGraph& g, int max_nodes = 14);
-
 }  // namespace olap
 
 #endif  // OLAP_WHATIF_PEBBLING_H_

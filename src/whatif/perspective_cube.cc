@@ -468,40 +468,6 @@ std::vector<ChunkId> RelevantChunks(const Cube& in, int varying_dim,
   return out;
 }
 
-std::vector<int> GraphOrderForTraversal(const MergeGraph& g,
-                                        const ChunkLayout& layout,
-                                        const std::vector<int>& dim_order) {
-  assert(static_cast<int>(dim_order.size()) == layout.num_dims());
-  // Rank of a chunk = its odometer index when dim_order[0] varies fastest.
-  std::vector<int64_t> stride(layout.num_dims());
-  int64_t acc = 1;
-  for (size_t pos = 0; pos < dim_order.size(); ++pos) {
-    stride[dim_order[pos]] = acc;
-    acc *= layout.chunks_per_dim()[dim_order[pos]];
-  }
-  std::vector<int> order(g.num_nodes());
-  for (int v = 0; v < g.num_nodes(); ++v) order[v] = v;
-  std::vector<int64_t> rank(g.num_nodes());
-  for (int v = 0; v < g.num_nodes(); ++v) {
-    std::vector<int> cc = layout.ChunkCoords(g.chunk(v));
-    int64_t r = 0;
-    for (int d = 0; d < layout.num_dims(); ++d) r += stride[d] * cc[d];
-    rank[v] = r;
-  }
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return rank[a] < rank[b]; });
-  return order;
-}
-
-int MergeMemoryChunksForOrder(const Cube& in, int varying_dim,
-                              const std::vector<MemberId>& members,
-                              const std::vector<int>& dim_order) {
-  MergeGraph graph = BuildMergeGraph(in, varying_dim, members);
-  if (graph.num_nodes() == 0) return 0;
-  std::vector<int> order = GraphOrderForTraversal(graph, in.layout(), dim_order);
-  return PeakPebblesForOrder(graph, order);
-}
-
 MergeResidency MergeResidencyForOrder(const Cube& in, int varying_dim,
                                       const std::vector<MemberId>& members,
                                       const std::vector<int>& dim_order) {

@@ -156,20 +156,6 @@ Result<PerspectiveCube> ComputePerspectiveCube(
 std::vector<ChunkId> RelevantChunks(const Cube& in, int varying_dim,
                                     const std::vector<MemberId>& scope_members);
 
-// Orders the merge graph's nodes by the position at which a full chunk-grid
-// traversal in `dim_order` (dim_order[0] fastest) visits each node's chunk.
-// Feeding the result to PeakPebblesForOrder measures the memory behaviour of
-// that dimension order — the quantity compared by Lemma 5.1.
-std::vector<int> GraphOrderForTraversal(const MergeGraph& g,
-                                        const ChunkLayout& layout,
-                                        const std::vector<int>& dim_order);
-
-// Convenience: peak co-resident chunks when reading the grid in `dim_order`
-// while honouring the merge dependencies of `members`.
-int MergeMemoryChunksForOrder(const Cube& in, int varying_dim,
-                              const std::vector<MemberId>& members,
-                              const std::vector<int>& dim_order);
-
 // The full memory picture behind Lemma 5.1. Each merge-graph chunk must
 // stay buffered from the traversal step that reads it until the step that
 // reads its last merge partner. Measured on the full chunk-grid timeline:

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/naive_aggregator.h"
 #include "workload/paper_example.h"
 
 namespace olap {

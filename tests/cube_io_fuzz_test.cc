@@ -77,11 +77,10 @@ Cube BuildTinyCube() {
   return cube;
 }
 
-std::string SaveToBytes(const Cube& cube, bool compress, int format_version) {
+std::string SaveToBytes(const Cube& cube, bool compress) {
   std::string path = TempPath("fuzz_source.olap");
   SaveOptions options;
   options.compress = compress;
-  options.format_version = format_version;
   EXPECT_TRUE(SaveCube(cube, path, options).ok());
   std::string bytes;
   EXPECT_TRUE(Env::Default()->ReadFileToString(path, &bytes).ok());
@@ -91,9 +90,8 @@ std::string SaveToBytes(const Cube& cube, bool compress, int format_version) {
 }
 
 // Flips every byte offset (two masks) and loads strictly and in recovery
-// mode. `every_flip_detected` is the OLAPCUB2 guarantee; v1 files predate
-// checksums, so for them the only assertion is "typed Status, no crash".
-void FuzzByteFlips(const std::string& bytes, bool every_flip_detected) {
+// mode. Every flip must be detected: that is the OLAPCUB2 guarantee.
+void FuzzByteFlips(const std::string& bytes) {
   std::string scratch = TempPath("fuzz_flip.olap");
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (uint8_t mask : {uint8_t{0xFF}, uint8_t{0x01}}) {
@@ -101,11 +99,9 @@ void FuzzByteFlips(const std::string& bytes, bool every_flip_detected) {
       mutated[i] = static_cast<char>(mutated[i] ^ mask);
       WriteFile(scratch, mutated);
       Result<Cube> strict = LoadCube(scratch);
-      if (every_flip_detected) {
-        EXPECT_FALSE(strict.ok())
-            << "undetected corruption at offset " << i << " mask "
-            << static_cast<int>(mask);
-      }
+      EXPECT_FALSE(strict.ok())
+          << "undetected corruption at offset " << i << " mask "
+          << static_cast<int>(mask);
       LoadOptions recovery;
       recovery.recover = true;
       RecoveryReport report;
@@ -132,33 +128,25 @@ void FuzzTruncations(const std::string& bytes) {
 }
 
 TEST(CubeIoFuzzTest, V2RawEveryByteFlipIsDetected) {
-  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/false, 2);
-  FuzzByteFlips(bytes, /*every_flip_detected=*/true);
+  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/false);
+  FuzzByteFlips(bytes);
 }
 
 TEST(CubeIoFuzzTest, V2CompressedEveryByteFlipIsDetected) {
-  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/true, 2);
-  FuzzByteFlips(bytes, /*every_flip_detected=*/true);
+  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/true);
+  FuzzByteFlips(bytes);
 }
 
 TEST(CubeIoFuzzTest, V2EveryTruncationIsDetected) {
-  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/false, 2);
+  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/false);
   FuzzTruncations(bytes);
-  bytes = SaveToBytes(BuildTinyCube(), /*compress=*/true, 2);
+  bytes = SaveToBytes(BuildTinyCube(), /*compress=*/true);
   FuzzTruncations(bytes);
 }
 
-TEST(CubeIoFuzzTest, V1LegacyFilesNeverCrashTheLoader) {
-  // No checksums in v1, so some flips legitimately load (e.g. a mutated
-  // member weight); the guarantee is typed-Status-or-success, no UB.
-  std::string bytes = SaveToBytes(BuildTinyCube(), /*compress=*/false, 1);
-  FuzzByteFlips(bytes, /*every_flip_detected=*/false);
-  FuzzTruncations(bytes);
-  bytes = SaveToBytes(BuildTinyCube(), /*compress=*/true, 1);
-  FuzzByteFlips(bytes, /*every_flip_detected=*/false);
-}
-
-// Random multi-byte garbage with a valid magic must also fail cleanly.
+// Random multi-byte garbage with a valid magic must also fail cleanly, and
+// behind the retired OLAPCUB1 magic (or any magic but OLAPCUB2) it is
+// rejected as not a cube file at all.
 TEST(CubeIoFuzzTest, GarbageAfterMagicIsRejected) {
   std::string scratch = TempPath("fuzz_garbage.olap");
   uint64_t state = 0x9E3779B97F4A7C15ull;
@@ -168,15 +156,27 @@ TEST(CubeIoFuzzTest, GarbageAfterMagicIsRejected) {
     state ^= state << 17;
     return static_cast<char>(state & 0xFF);
   };
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string bytes = "OLAPCUB2";
-    int len = 1 + static_cast<int>(state % 256);
-    for (int i = 0; i < len; ++i) bytes.push_back(next());
-    WriteFile(scratch, bytes);
-    EXPECT_FALSE(LoadCube(scratch).ok());
-    LoadOptions recovery;
-    recovery.recover = true;
-    (void)LoadCube(scratch, recovery);
+  for (const char* magic : {"OLAPCUB2", "OLAPCUB1"}) {
+    const bool known = std::string(magic) == "OLAPCUB2";
+    for (int trial = 0; trial < 200; ++trial) {
+      std::string bytes = magic;
+      int len = 1 + static_cast<int>(state % 256);
+      for (int i = 0; i < len; ++i) bytes.push_back(next());
+      WriteFile(scratch, bytes);
+      Result<Cube> strict = LoadCube(scratch);
+      EXPECT_FALSE(strict.ok()) << magic << " trial " << trial;
+      LoadOptions recovery;
+      recovery.recover = true;
+      Result<Cube> recovered = LoadCube(scratch, recovery);
+      if (!known) {
+        EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument)
+            << magic << " trial " << trial << ": "
+            << strict.status().ToString();
+        EXPECT_EQ(recovered.status().code(), StatusCode::kInvalidArgument)
+            << magic << " trial " << trial << ": "
+            << recovered.status().ToString();
+      }
+    }
   }
   std::remove(scratch.c_str());
 }

@@ -178,31 +178,6 @@ TEST_P(CubeIoPropertyTest, RandomCubeRoundTrips) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CubeIoPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// Read-compatibility: files written in the legacy OLAPCUB1 format (no
-// checksums, unframed chunks) still load bit-exactly.
-TEST(CubeIoTest, LegacyV1FilesStillLoad) {
-  PaperExample ex = BuildPaperExample();
-  for (bool compress : {false, true}) {
-    std::string path = TempPath(compress ? "v1_c.olap" : "v1.olap");
-    SaveOptions options;
-    options.compress = compress;
-    options.format_version = 1;
-    ASSERT_TRUE(SaveCube(ex.cube, path, options).ok());
-    // The file really is v1.
-    std::string head;
-    {
-      std::ifstream in(path, std::ios::binary);
-      head.resize(8);
-      in.read(head.data(), 8);
-    }
-    EXPECT_EQ(head, "OLAPCUB1");
-    Result<Cube> loaded = LoadCube(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    ExpectCubesEqual(ex.cube, *loaded);
-    std::remove(path.c_str());
-  }
-}
-
 TEST(CubeIoTest, SaveWritesV2AndLeavesNoTempFile) {
   PaperExample ex = BuildPaperExample();
   std::string path = TempPath("v2_clean.olap");

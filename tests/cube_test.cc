@@ -227,8 +227,8 @@ TEST(CubeTest, GetCellSeesWritesCopiesAndMoves) {
   EXPECT_EQ(moved.GetCell({0, 0, 0, 0}), CellValue(2.0));
 }
 
-// ReplaceChunk / EraseChunk mutate a chunk a previous read touched: the
-// next read must serve the new bytes, or ⊥ after an erase.
+// Writes and EraseChunk mutate a chunk a previous read touched: the next
+// read must serve the new bytes, or ⊥ after an erase.
 TEST(CubeTest, GetCellAfterReplaceAndEraseChunk) {
   PaperExample ex = BuildPaperExample();
   Cube cube(ex.cube.schema());
@@ -236,21 +236,18 @@ TEST(CubeTest, GetCellAfterReplaceAndEraseChunk) {
   const ChunkId id = cube.layout().ChunkOf({0, 0, 0, 0});
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(5.0));
 
-  // Swap in a freshly built chunk.
-  Chunk fresh(cube.layout().cells_per_chunk());
-  fresh.Set(0, CellValue(9.0));
-  cube.ReplaceChunk(id, std::move(fresh));
+  // Overwrite the cell the read just served.
+  cube.SetCell({0, 0, 0, 0}, CellValue(9.0));
   EXPECT_EQ(cube.GetCell({0, 0, 0, 0}), CellValue(9.0));
 
-  // ReplaceChunk under an id with no stored chunk creates it.
+  // A write under an id with no stored chunk creates it.
   const std::vector<int>& ext = cube.layout().extents();
   std::vector<int> far = {ext[0] - 1, ext[1] - 1, ext[2] - 1, ext[3] - 1};
   const ChunkId far_id = cube.layout().ChunkOf(far);
   ASSERT_NE(far_id, id);
   ASSERT_FALSE(cube.HasChunk(far_id));
-  Chunk far_chunk(cube.layout().cells_per_chunk());
-  far_chunk.Set(cube.layout().OffsetInChunk(far), CellValue(7.0));
-  cube.ReplaceChunk(far_id, std::move(far_chunk));
+  cube.SetCell(far, CellValue(7.0));
+  EXPECT_TRUE(cube.HasChunk(far_id));
   EXPECT_EQ(cube.GetCell(far), CellValue(7.0));
 
   // Erase after a read: every cell of the chunk reads ⊥.

@@ -15,7 +15,8 @@
 //     kResourceExhausted, a cancelled refresh flags needs_rebuild, and
 //     Rebuild() recovers either way;
 //   * Database::ApplyCellEdits keeps the persistent cache servable (key
-//     bumped in lockstep with the cube version) with views_kept > 0.
+//     bumped in lockstep with the cube version) with views_kept > 0, and
+//     rejects a feed with a bad write whole, touching nothing.
 
 #include <cstdint>
 #include <cstring>
@@ -374,6 +375,58 @@ TEST_F(DeltaTest, ApplyCellEditsKeepsPersistentCacheServable) {
   // A structural change strands the cache: key lags the epoch.
   ASSERT_TRUE(db.BumpStructuralEpoch("Warehouse").ok());
   EXPECT_NE(cache->key().epoch, db.structural_epoch("Warehouse"));
+}
+
+// A feed with one bad write is rejected whole: nothing lands in the cube,
+// the version stays put and the views (which the executor still serves,
+// since their key matches the version) still equal a rebuild.
+TEST_F(DeltaTest, RejectedEditBatchLeavesCubeAndViewsUntouched) {
+  Database db;
+  ASSERT_TRUE(db.AddCube("Warehouse", ex_.cube).ok());
+  ASSERT_TRUE(db.BuildAggregates("Warehouse", 4).ok());
+  Result<const Cube*> cube = db.FindCube("Warehouse");
+  ASSERT_TRUE(cube.ok());
+  const Cube before = **cube;
+
+  std::vector<CellWrite> writes = {
+      {At(ex_.fte_joe, 0, 0, 0), CellValue(777.0)},
+      {At(ex_.fte_joe, 0, 0, 99), CellValue(1.0)},  // Measure out of range.
+  };
+  Database::EditStats stats;
+  Status status = db.ApplyCellEdits("Warehouse", writes, &stats);
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange) << status.ToString();
+  EXPECT_EQ(stats.cells_written, 0);
+
+  ExpectCubesBitIdentical(before, **cube, "after the rejected feed");
+  EXPECT_EQ(db.cube_version("Warehouse"), 0u);
+  const AggregateCache* cache = db.aggregates("Warehouse");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(cache->key().cube_version, 0u);
+  AggregateCache rebuilt(**cube, cache->masks());
+  for (int i = 0; i < cache->num_views(); ++i) {
+    ASSERT_TRUE(cache->view_resident(i));
+    EXPECT_TRUE(cache->view(i) == rebuilt.view(i)) << "view " << i;
+  }
+
+  // The views still serve: the batched grid equals the per-cell oracle.
+  Executor exec(&db);
+  const char* query =
+      "SELECT {Time.Members} ON COLUMNS, {[Organization].Members} ON ROWS "
+      "FROM Warehouse WHERE ([Measures].[Salary])";
+  Result<QueryResult> batched = exec.Execute(query);
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  QueryOptions per_cell;
+  per_cell.batched_eval = false;
+  Result<QueryResult> oracle = exec.Execute(query, per_cell);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_EQ(batched->grid.num_rows(), oracle->grid.num_rows());
+  ASSERT_EQ(batched->grid.num_columns(), oracle->grid.num_columns());
+  for (int r = 0; r < batched->grid.num_rows(); ++r) {
+    for (int c = 0; c < batched->grid.num_columns(); ++c) {
+      EXPECT_EQ(BitsOf(batched->grid.at(r, c)), BitsOf(oracle->grid.at(r, c)))
+          << "row " << r << " column " << c;
+    }
+  }
 }
 
 TEST_F(DeltaTest, EmptyBatchIsANoOp) {

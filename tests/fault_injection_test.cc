@@ -13,8 +13,9 @@
 
 #include "engine/database.h"
 #include "storage/cube_io.h"
-#include "storage/fault_env.h"
 #include "storage/retry.h"
+#include "support/fake_clock.h"
+#include "support/fault_env.h"
 #include "workload/paper_example.h"
 #include "workload/workforce.h"
 

@@ -21,8 +21,8 @@
 #include "common/metrics.h"
 #include "engine/executor.h"
 #include "storage/cube_io.h"
-#include "storage/fault_env.h"
 #include "storage/simulated_disk.h"
+#include "support/fault_env.h"
 #include "workload/paper_example.h"
 #include "workload/product.h"
 

@@ -18,6 +18,8 @@
 #include "storage/cube_io.h"
 #include "storage/env.h"
 #include "storage/simulated_disk.h"
+#include "support/naive_aggregator.h"
+#include "support/operator_oracles.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
 #include "whatif/perspective_cube.h"
@@ -167,9 +169,10 @@ TEST(KernelEquivalenceTest, RelocateMatchesReferenceAtEveryThreadCount) {
     std::vector<DynamicBitset> vs_out = TransformValiditySets(
         dim, RandomPerspectives(&rng, world.months), RandomSemantics(&rng));
 
+    const Cube serial = Relocate(world.cube, world.org_dim, vs_out);
     int64_t ref_moved = 0;
-    Cube ref = RelocateReference(world.cube, world.org_dim, vs_out, {}, true,
-                                 &ref_moved);
+    Cube ref = RelocateReference(world.cube, serial.schema(), world.org_dim,
+                                 vs_out, {}, true, &ref_moved);
     for (int threads : kThreadCounts) {
       int64_t moved = 0;
       Cube got = Relocate(world.cube, world.org_dim, vs_out, {}, true, &moved,
@@ -197,9 +200,12 @@ TEST(KernelEquivalenceTest, ScopedRelocateMatchesReference) {
     if (scope.empty()) scope.push_back(world.members[0]);
 
     for (bool copy_out_of_scope : {true, false}) {
+      const Cube serial = Relocate(world.cube, world.org_dim, vs_out, scope,
+                                   copy_out_of_scope);
       int64_t ref_moved = 0;
-      Cube ref = RelocateReference(world.cube, world.org_dim, vs_out, scope,
-                                   copy_out_of_scope, &ref_moved);
+      Cube ref = RelocateReference(world.cube, serial.schema(), world.org_dim,
+                                   vs_out, scope, copy_out_of_scope,
+                                   &ref_moved);
       for (int threads : kThreadCounts) {
         int64_t moved = 0;
         Cube got = Relocate(world.cube, world.org_dim, vs_out, scope,
@@ -217,14 +223,17 @@ TEST(KernelEquivalenceTest, ScopedRelocateMatchesReference) {
 
 TEST(KernelEquivalenceTest, SplitMatchesReferenceAtEveryThreadCount) {
   int compared = 0;
+  int rejected = 0;
   for (uint64_t seed = 0; seed < 32; ++seed) {
     FuzzWorld world = BuildFuzzWorld(seed + 2000);
     Rng rng(seed * 6151 + 5);
     const Dimension& dim = world.cube.schema().dimension(world.org_dim);
 
     // Tuples built against the INPUT dimension; later tuples of the same
-    // member may become invalid after earlier ones apply — both
-    // implementations must then fail identically.
+    // member may become invalid after earlier ones apply, and Split then
+    // rejects the relation. Such rounds are skipped (and counted): the
+    // oracle checks cell movement under the output schema Split built, so
+    // there is nothing to compare when Split built none.
     ChangeRelation r;
     const int num_tuples = 1 + static_cast<int>(rng.NextBelow(4));
     for (int i = 0; i < num_tuples; ++i) {
@@ -237,20 +246,23 @@ TEST(KernelEquivalenceTest, SplitMatchesReferenceAtEveryThreadCount) {
     }
     if (r.empty()) continue;
 
-    Result<Cube> ref = SplitReference(world.cube, world.org_dim, r);
+    Result<Cube> serial = Split(world.cube, world.org_dim, r);
+    if (!serial.ok()) {
+      ++rejected;
+      continue;
+    }
+    Cube ref = SplitReference(world.cube, serial->schema(), world.org_dim, r);
     for (int threads : kThreadCounts) {
       Result<Cube> got = Split(world.cube, world.org_dim, r, threads);
-      ASSERT_EQ(ref.ok(), got.ok()) << "seed " << seed;
-      if (!ref.ok()) {
-        EXPECT_EQ(ref.status(), got.status()) << "seed " << seed;
-        continue;
-      }
-      ExpectBitIdentical(*ref, *got, world.org_dim,
+      ASSERT_TRUE(got.ok()) << "seed " << seed << ": "
+                            << got.status().ToString();
+      ExpectBitIdentical(ref, *got, world.org_dim,
                          "seed " + std::to_string(seed) + " threads " +
                              std::to_string(threads));
       ++compared;
     }
   }
+  RecordProperty("rejected_relations", rejected);
   EXPECT_GT(compared, 0) << "fuzzer produced no applicable change relations";
 }
 

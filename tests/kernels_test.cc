@@ -1,10 +1,11 @@
-// Dispatched-vs-scalar parity for every vector kernel: whatever ISA the
-// dispatcher resolved to on this machine (AVX2, NEON, portable, or scalar
-// under OLAP_DISABLE_SIMD / OLAP_FORCE_SCALAR_KERNELS) must produce results
-// bit-identical to the ...Scalar reference implementations, over randomized
-// values (including ±0.0, denormals, huge and tiny magnitudes), randomized
-// bitmaps (including all-set and all-clear), word-misaligned bit offsets
-// and ragged lengths, and weights both == 1.0 and != 1.0.
+// Dispatched-vs-scalar parity for every vector kernel: whatever the
+// dispatcher resolved to on this machine (AVX2, or the scalar reference
+// itself on a host without AVX2+FMA, under OLAP_DISABLE_SIMD or under
+// ForceScalar) must produce results bit-identical to the ...Scalar
+// reference implementations, over randomized values (including ±0.0,
+// denormals, huge and tiny magnitudes), randomized bitmaps (including
+// all-set and all-clear), word-misaligned bit offsets and ragged lengths,
+// and weights both == 1.0 and != 1.0.
 
 #include <cstdint>
 #include <cstring>
@@ -82,6 +83,10 @@ TEST(KernelsTest, ForceScalarRoutesDispatchToScalar) {
   EXPECT_EQ(ActiveIsa(), normal);
   // Whatever the machine resolves to, the name round-trips.
   EXPECT_NE(IsaName(ActiveIsa()), nullptr);
+  // A build without intrinsics can only dispatch to the scalar reference.
+  if (!SimdCompiledIn()) {
+    EXPECT_EQ(ActiveIsa(), Isa::kScalar);
+  }
 }
 
 TEST(KernelsTest, MaskedRunSumMatchesScalar) {

@@ -5,7 +5,7 @@
 // sequences must leave both representations bit-identical through every
 // Get/Set/CopyRunFrom/MergeNonNullFrom/AccumulateFrom/RunHasNonNull, the
 // OLAPCUB2 storage format must round-trip the bitmap layout byte-exactly
-// (raw, compressed, and the legacy v1 format), and the chunk aggregator
+// (raw and compressed), and the chunk aggregator
 // must stay thread-count-invariant on top of the new layout.
 
 #include <cmath>
@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "cube/cube.h"
 #include "storage/cube_io.h"
+#include "support/naive_aggregator.h"
 
 namespace olap {
 namespace {
@@ -246,22 +247,17 @@ TEST(LayoutEquivalenceTest, StorageRoundTripsBitmapLayout) {
   for (uint64_t seed : {11u, 23u}) {
     Cube cube = RandomCube(seed, {7, 9, 5}, 3, 0.6, /*integer_values=*/false);
     for (bool compress : {false, true}) {
-      for (int version : {1, 2}) {
-        if (version == 1 && compress) continue;  // v1 is raw-only coverage.
-        const std::string path = ::testing::TempDir() + "/layout_rt_" +
-                                 std::to_string(variant++) + ".olapcube";
-        SaveOptions save;
-        save.compress = compress;
-        save.format_version = version;
-        save.sync = false;
-        ASSERT_TRUE(SaveCube(cube, path, save).ok());
-        Result<Cube> loaded = LoadCube(path);
-        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-        ExpectCubesBitIdentical(cube, *loaded,
-                                "seed " + std::to_string(seed) + " compress " +
-                                    std::to_string(compress) + " v" +
-                                    std::to_string(version));
-      }
+      const std::string path = ::testing::TempDir() + "/layout_rt_" +
+                               std::to_string(variant++) + ".olapcube";
+      SaveOptions save;
+      save.compress = compress;
+      save.sync = false;
+      ASSERT_TRUE(SaveCube(cube, path, save).ok());
+      Result<Cube> loaded = LoadCube(path);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ExpectCubesBitIdentical(cube, *loaded,
+                              "seed " + std::to_string(seed) + " compress " +
+                                  std::to_string(compress));
     }
   }
 }

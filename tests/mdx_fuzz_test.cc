@@ -1,8 +1,10 @@
 // Robustness: the MDX front end must return INVALID_ARGUMENT-style errors,
 // never crash, on arbitrary garbage — random byte strings, random token
-// soups, and truncations/mutations of valid queries.
+// soups, truncations/mutations of valid queries, and numeric literals that
+// do not fit their context.
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -94,6 +96,52 @@ TEST(MdxFuzzTest, MutationsThroughFullEngineNeverCrash) {
   // crash, and the executor remains usable:
   Result<QueryResult> sane = exec.Execute(base);
   EXPECT_TRUE(sane.ok());
+}
+
+// A numeric literal that is malformed or out of range, or an integer
+// context (axis ordinal, Head/Tail and TopCount/BottomCount counts,
+// Descendants depth, Levels(n)) holding a value outside [0, INT_MAX], is an
+// INVALID_ARGUMENT from the parser and from the executor, never a throw.
+TEST(MdxFuzzTest, BadNumericLiteralsReturnInvalidArgument) {
+  const std::string huge(400, '9');
+  const std::vector<std::string> texts = {
+      "SELECT {Head([Organization].Members, " + huge +
+          ")} ON COLUMNS FROM Warehouse",
+      "SELECT {Head([Organization].Members, 1.2.3)} ON COLUMNS "
+      "FROM Warehouse",
+      "SELECT {Time.[Jan]} ON COLUMNS, "
+      "{Head([Organization].Members, 99999999999)} ON ROWS FROM Warehouse",
+      "SELECT {Time.[Jan]} ON COLUMNS, "
+      "{Tail([Organization].Members, 2147483648)} ON ROWS FROM Warehouse",
+      "SELECT {Time.[Jan]} ON AXIS(99999999999) FROM Warehouse",
+      "SELECT {TopCount([Organization].Members, 99999999999, [Salary])} "
+      "ON COLUMNS FROM Warehouse",
+      "SELECT {BottomCount([Organization].Members, 99999999999, [Salary])} "
+      "ON COLUMNS FROM Warehouse",
+      "SELECT {Descendants([Organization], 99999999999)} ON COLUMNS "
+      "FROM Warehouse",
+      "SELECT {[Organization].Levels(99999999999).Members} ON COLUMNS "
+      "FROM Warehouse",
+  };
+  PaperExample ex = BuildPaperExample();
+  Database db;
+  ASSERT_TRUE(db.AddCube("Warehouse", std::move(ex.cube)).ok());
+  Executor exec(&db);
+  for (const std::string& text : texts) {
+    Result<mdx::ParsedQuery> q = mdx::Parse(text);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+        << q.status().ToString();
+    Result<QueryResult> r = exec.Execute(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  // The largest count an integer context takes still executes.
+  Result<QueryResult> widest = exec.Execute(
+      "SELECT {Time.[Jan]} ON COLUMNS, "
+      "{Head([Organization].Members, 2147483647)} ON ROWS FROM Warehouse");
+  EXPECT_TRUE(widest.ok()) << widest.status().ToString();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/optimal_pebbles.h"
 
 namespace olap {
 namespace {

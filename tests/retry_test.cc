@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/fake_clock.h"
+
 namespace olap {
 namespace {
 

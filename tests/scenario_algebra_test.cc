@@ -2,8 +2,9 @@
 // new-member introduction, comparison):
 //
 //   * Compose(A, B) is bit-identical to Apply(A); Apply(B) — by the
-//     algebra's contract, checked here against the *serial cell-at-a-time
-//     reference operators*, not the chunk kernels the engine uses;
+//     algebra's contract, checked here against the cell movement of the
+//     *serial cell-at-a-time reference operators* (tests/support), not the
+//     chunk kernels the engine uses;
 //   * one documented counterexample where op order legitimately changes
 //     the result (introduction before vs after a negative scenario);
 //   * comparison laws: distance symmetry, containment reflexivity and
@@ -23,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "support/operator_oracles.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
 #include "whatif/scenario_algebra.h"
@@ -69,19 +71,30 @@ void ExpectBitIdentical(const Cube& expected, const Cube& actual, int vd,
 }
 
 // Serial per-cell oracle for one scenario op: the reference operator
-// implementations (ForEachCell + SetCell), entirely independent of the
-// chunk-native kernels and of ComputePerspectiveCube's staging.
+// implementations (ForEachCell + SetCell), independent of the chunk-native
+// kernels' destination tables and of ComputePerspectiveCube's staging. Each
+// oracle is handed the output schema of the operator it checks, so the
+// operator's status and schema are taken as given and its cell movement
+// is what gets compared.
 Result<Cube> ApplyOpReference(const Cube& in, int vd, const ScenarioOp& op) {
   switch (op.kind) {
-    case ScenarioOp::Kind::kIntroduce:
-      return IntroduceMembersReference(in, vd, op.introductions);
-    case ScenarioOp::Kind::kSplit:
-      return SplitReference(in, vd, op.changes);
+    case ScenarioOp::Kind::kIntroduce: {
+      Result<Cube> applied = IntroduceMembers(in, vd, op.introductions);
+      if (!applied.ok()) return applied.status();
+      return IntroduceMembersReference(in, applied->schema(), vd,
+                                       op.introductions);
+    }
+    case ScenarioOp::Kind::kSplit: {
+      Result<Cube> applied = Split(in, vd, op.changes);
+      if (!applied.ok()) return applied.status();
+      return SplitReference(in, applied->schema(), vd, op.changes);
+    }
     case ScenarioOp::Kind::kPerspective: {
       const Dimension& dim = in.schema().dimension(vd);
       std::vector<DynamicBitset> vs_out =
           TransformValiditySets(dim, op.perspectives, op.semantics);
-      return RelocateReference(in, vd, vs_out);
+      const Cube applied = Relocate(in, vd, vs_out);
+      return RelocateReference(in, applied.schema(), vd, vs_out);
     }
   }
   return Status::Internal("unreachable");

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/fault_env.h"
+#include "support/fault_env.h"
 
 namespace olap {
 namespace {
