@@ -110,10 +110,13 @@ void BM_RelocationReadOrder(benchmark::State& state) {
   olap::SimulatedDisk disk(model, /*cache=*/256);
 
   olap::EvalStats stats;
+  olap::ScenarioEvalOptions opts;
+  opts.disk = &disk;
+  opts.stats = &stats;
   for (auto _ : state) {
     disk.Reset();
-    olap::Result<olap::PerspectiveCube> pc = olap::ComputePerspectiveCube(
-        wf->cube, spec, olap::EvalStrategy::kDirect, &disk, &stats);
+    olap::Result<olap::PerspectiveCube> pc =
+        olap::ComputePerspectiveCube(wf->cube, spec, opts);
     if (!pc.ok()) {
       state.SkipWithError(pc.status().ToString().c_str());
       return;

@@ -13,15 +13,13 @@ namespace {
 // Residency accounting; serving (agg.cache.lookups/hits/misses) is
 // counted by BatchCellEvaluator, the only code that sums views.
 struct CacheMetrics {
-  Counter* evictions;
   Counter* views_kept;
   Counter* views_dropped;
 
   static const CacheMetrics& Get() {
     static CacheMetrics m = [] {
       MetricsRegistry& reg = MetricsRegistry::Global();
-      return CacheMetrics{reg.counter("cache.evictions"),
-                          reg.counter("cache.invalidate.views_kept"),
+      return CacheMetrics{reg.counter("cache.invalidate.views_kept"),
                           reg.counter("cache.invalidate.views_dropped")};
     }();
     return m;
@@ -100,7 +98,6 @@ AggregateCache::AggregateCache(const Cube& cube,
   std::iota(order.begin(), order.end(), 0);
   views_ = aggregator.Compute(masks_, order, /*disk=*/nullptr, threads, cancel);
   resident_.assign(views_.size(), 1);
-  last_use_ = std::make_unique<std::atomic<int64_t>[]>(views_.size());
 }
 
 AggregateCache::AggregateCache(const Cube& cube,
@@ -128,7 +125,6 @@ AggregateCache::AggregateCache(const Cube& cube,
                                 cancel);
   }
   resident_.assign(views_.size(), 1);
-  last_use_ = std::make_unique<std::atomic<int64_t>[]>(views_.size());
 }
 
 AggregateCache AggregateCache::BuildGreedy(const Cube& cube, int max_views) {
@@ -145,20 +141,13 @@ int64_t AggregateCache::TotalCells() const {
   return total;
 }
 
-void AggregateCache::TouchView(int g) const {
-  last_use_[g].store(use_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-}
-
 const GroupByResult* AggregateCache::SmallestCovering(GroupByMask needed) const {
   int best = -1;
   for (int i = 0; i < num_views(); ++i) {
     if (!resident_[i] || (needed & masks_[i]) != needed) continue;
     if (best < 0 || views_[i].num_cells() < views_[best].num_cells()) best = i;
   }
-  if (best < 0) return nullptr;
-  TouchView(best);
-  return &views_[best];
+  return best < 0 ? nullptr : &views_[best];
 }
 
 void AggregateCache::EnableIncrementalMaintenance(const Cube& cube) {
@@ -225,39 +214,6 @@ void AggregateCache::DropResidentViews() {
   }
   incremental_ = false;
   CacheMetrics::Get().views_dropped->Increment(dropped);
-}
-
-void AggregateCache::SetCapacity(int64_t max_cells) {
-  capacity_cells_ = max_cells;
-  EnforceCapacity();
-}
-
-void AggregateCache::EnforceCapacity() {
-  if (capacity_cells_ < 0) return;
-  int64_t total = TotalCells();
-  while (total > capacity_cells_) {
-    int victim = -1;
-    int64_t victim_use = 0;
-    for (int i = 0; i < num_views(); ++i) {
-      if (!resident_[i]) continue;
-      const int64_t use = last_use_[i].load(std::memory_order_relaxed);
-      if (victim < 0 || use < victim_use ||
-          (use == victim_use &&
-           views_[i].num_cells() > views_[victim].num_cells())) {
-        victim = i;
-        victim_use = use;
-      }
-    }
-    if (victim < 0) break;  // Nothing resident left to evict.
-    total -= views_[victim].num_cells();
-    views_[victim] = GroupByResult();
-    if (static_cast<size_t>(victim) < counts_.size()) {
-      counts_[victim].clear();
-      counts_[victim].shrink_to_fit();
-    }
-    resident_[victim] = 0;
-    CacheMetrics::Get().evictions->Increment();
-  }
 }
 
 }  // namespace olap

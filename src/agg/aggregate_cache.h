@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "agg/chunk_aggregator.h"
@@ -16,22 +15,17 @@ namespace olap {
 // Identity of the data a persistent cache's views were aggregated from.
 // The engine compares the cache's key against the entry's current state and
 // bypasses (rather than serves from) a cache whose key no longer matches:
-//   cube_version         bumped per applied edit feed; patched caches bump
-//                        in lockstep and stay fresh,
-//   scenario_fingerprint ScenarioFingerprint of the transformation the
-//                        cached cube went through (0 for a base cube),
-//   epoch                validity-set epoch: structural dimension changes
-//                        (relocation feeds, splits) re-shape the axes, so
-//                        an epoch bump strands every cache built before it.
+//   cube_version  bumped per applied edit feed; patched caches bump in
+//                 lockstep and stay fresh,
+//   epoch         validity-set epoch: structural dimension changes
+//                 (relocation feeds, splits) re-shape the axes, so an epoch
+//                 bump strands every cache built before it.
 struct CacheKey {
   uint64_t cube_version = 0;
-  uint64_t scenario_fingerprint = 0;
   uint64_t epoch = 0;
 
   friend bool operator==(const CacheKey& a, const CacheKey& b) {
-    return a.cube_version == b.cube_version &&
-           a.scenario_fingerprint == b.scenario_fingerprint &&
-           a.epoch == b.epoch;
+    return a.cube_version == b.cube_version && a.epoch == b.epoch;
   }
   friend bool operator!=(const CacheKey& a, const CacheKey& b) {
     return !(a == b);
@@ -89,10 +83,7 @@ class AggregateCache {
         resident_(std::move(other.resident_)),
         counts_(std::move(other.counts_)),
         incremental_(other.incremental_),
-        key_(other.key_),
-        capacity_cells_(other.capacity_cells_),
-        last_use_(std::move(other.last_use_)),
-        use_tick_(other.use_tick_.load()) {}
+        key_(other.key_) {}
   AggregateCache& operator=(AggregateCache&&) = delete;
   AggregateCache(const AggregateCache&) = delete;
   AggregateCache& operator=(const AggregateCache&) = delete;
@@ -100,8 +91,8 @@ class AggregateCache {
   int num_views() const { return static_cast<int>(views_.size()); }
   const std::vector<GroupByMask>& masks() const { return masks_; }
   const GroupByResult& view(int i) const { return views_[i]; }
-  // False once view `i` was evicted or dropped (its GroupByResult is then
-  // an empty shell the serving paths skip).
+  // False once view `i` was dropped (its GroupByResult is then an empty
+  // shell the serving paths skip).
   bool view_resident(int i) const { return resident_[i] != 0; }
   // Total cells held across resident views.
   int64_t TotalCells() const;
@@ -138,17 +129,6 @@ class AggregateCache {
   // rebuild replaces it.
   void DropResidentViews();
 
-  // --- LRU capacity bound -------------------------------------------------
-
-  // Bounds the resident footprint to `max_cells` view cells (< 0 =
-  // unbounded, the default), evicting least-recently-served views first
-  // (ties: the costlier view — more cells — goes first) until under the
-  // bound. Eviction is counted by cache.evictions. Call from a quiesce
-  // point: concurrent evaluator readers may still hold pointers into a
-  // view being evicted.
-  void SetCapacity(int64_t max_cells);
-  int64_t capacity_cells() const { return capacity_cells_; }
-
   // The smallest materialized view whose mask keeps every dimension of
   // `needed`, or nullptr when none covers it.
   const GroupByResult* SmallestCovering(GroupByMask needed) const;
@@ -159,24 +139,14 @@ class AggregateCache {
   mutable std::atomic<int64_t> misses{0};
 
  private:
-  // Evicts LRU views until the resident footprint fits capacity_cells_.
-  void EnforceCapacity();
-  // Marks view `g` served "now" (relaxed; recency only guides eviction).
-  void TouchView(int g) const;
-
   std::vector<GroupByMask> masks_;
   std::vector<GroupByResult> views_;
   std::vector<char> resident_;  // Per view; see view_resident().
   // Per view, per cell: number of non-⊥ input cells contributing. Empty
-  // until EnableIncrementalMaintenance; evicted views clear theirs.
+  // until EnableIncrementalMaintenance; dropped views clear theirs.
   std::vector<std::vector<int32_t>> counts_;
   bool incremental_ = false;
   CacheKey key_;
-  int64_t capacity_cells_ = -1;  // < 0: unbounded.
-  // Per view: use_tick_ value at last serve. Atomic array (not vector):
-  // SmallestCovering bumps these from several evaluation threads.
-  std::unique_ptr<std::atomic<int64_t>[]> last_use_;
-  mutable std::atomic<int64_t> use_tick_{0};
 };
 
 }  // namespace olap

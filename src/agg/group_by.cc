@@ -48,13 +48,6 @@ void GroupByResult::Accumulate(const std::vector<int>& coords, CellValue v) {
   cells_[idx] = CellValue::ToStorage(sum);
 }
 
-void GroupByResult::AccumulateFull(const std::vector<int>& full_coords,
-                                   CellValue v) {
-  std::vector<int> coords(kept_dims_.size());
-  for (size_t i = 0; i < kept_dims_.size(); ++i) coords[i] = full_coords[kept_dims_[i]];
-  Accumulate(coords, v);
-}
-
 int64_t GroupByResult::CountNonNull() const {
   int64_t n = 0;
   for (double raw : cells_) {

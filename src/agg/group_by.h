@@ -34,9 +34,6 @@ class GroupByResult {
   CellValue Get(const std::vector<int>& coords) const;
   void Accumulate(const std::vector<int>& coords, CellValue v);
 
-  // Projects a full-rank cell coordinate onto this group-by and accumulates.
-  void AccumulateFull(const std::vector<int>& full_coords, CellValue v);
-
   // Direct-index variants for hot loops that precompute indices via
   // strides(). `idx` must be in [0, num_cells()).
   CellValue GetAt(int64_t idx) const { return CellValue::FromStorage(cells_[idx]); }

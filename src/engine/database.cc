@@ -89,17 +89,11 @@ Status Database::BuildAggregates(std::string_view cube_name, int max_views) {
   }
   entry->aggregates = std::make_unique<AggregateCache>(
       AggregateCache::BuildGreedy(entry->cube, max_views));
-  entry->aggregates->set_key(
-      CacheKey{entry->version, /*scenario_fingerprint=*/0, entry->epoch});
+  entry->aggregates->set_key(CacheKey{entry->version, entry->epoch});
   return Status::Ok();
 }
 
 const AggregateCache* Database::aggregates(std::string_view cube_name) const {
-  const Entry* entry = FindEntry(cube_name);
-  return entry == nullptr ? nullptr : entry->aggregates.get();
-}
-
-AggregateCache* Database::mutable_aggregates(std::string_view cube_name) {
   const Entry* entry = FindEntry(cube_name);
   return entry == nullptr ? nullptr : entry->aggregates.get();
 }
@@ -123,7 +117,7 @@ Status Database::ApplyCellEdits(std::string_view cube_name,
   }
   AggregateCache* cache = entry->aggregates.get();
   if (cache != nullptr && !cache->incremental() &&
-      cache->key() == CacheKey{entry->version, 0, entry->epoch}) {
+      cache->key() == CacheKey{entry->version, entry->epoch}) {
     // First feed against a fresh cache: one chunk pass buys per-cell
     // patching for every feed after it. A stale cache is not worth the
     // pass — it is bypassed by the executor anyway.

@@ -61,8 +61,6 @@ class Database : public mdx::NameResolver {
   Status BuildAggregates(std::string_view cube_name, int max_views);
   // The cube's materialized aggregations, or null when none were built.
   const AggregateCache* aggregates(std::string_view cube_name) const;
-  // Non-const access for engine-side capacity management (LRU bound).
-  AggregateCache* mutable_aggregates(std::string_view cube_name);
 
   // --- Edit feed (incremental maintenance) --------------------------------
 

@@ -183,7 +183,6 @@ Result<QueryPlan> PlanQuery(const Database& db, const mdx::ParsedQuery& parsed,
     // stale sums. Edit feeds through Database::ApplyCellEdits patch the
     // views and bump the key in lockstep, so they pass this gate.
     const CacheKey current{db.cube_version(plan.cube_name),
-                           /*scenario_fingerprint=*/0,
                            db.structural_epoch(plan.cube_name)};
     if (plan.aggregates->key() != current) {
       plan.views_use = "stale key (bypassed)";
@@ -207,9 +206,8 @@ Result<QueryPlan> PlanQuery(const Database& db, const mdx::ParsedQuery& parsed,
 }
 
 // The structural pipeline is one scenario composition: each spec (one per
-// varying dimension) becomes a canonical ScenarioSpec and the algebra
-// applies them in clause order — the single-pass route for one spec, the
-// stage pipeline (visual wins for the combined mode) for several.
+// varying dimension) becomes a canonical ScenarioSpec and the algebra's op
+// loop applies them in clause order (visual wins for the combined mode).
 // Bit-identical to calling the operators directly.
 std::vector<ScenarioSpec> ScenariosOf(const BoundQuery& bound) {
   std::vector<ScenarioSpec> out;

@@ -378,7 +378,20 @@ class Parser {
 
   // --- set expressions ------------------------------------------------------
 
+  // Every set-expression level enters here, which counts it against
+  // kMaxSetNesting.
   Result<std::unique_ptr<SetExpr>> ParseSetExpr() {
+    if (depth_ == kMaxSetNesting) {
+      return Error("set expression nests deeper than " +
+                   std::to_string(kMaxSetNesting) + " levels");
+    }
+    ++depth_;
+    Result<std::unique_ptr<SetExpr>> set = ParseSetLevel();
+    --depth_;
+    return set;
+  }
+
+  Result<std::unique_ptr<SetExpr>> ParseSetLevel() {
     if (TakeSymbol('{')) {
       auto node = std::make_unique<SetExpr>();
       node->kind = SetExpr::Kind::kBraces;
@@ -597,6 +610,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Set-expression levels open (ParseSetExpr).
 };
 
 }  // namespace

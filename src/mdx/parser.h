@@ -23,6 +23,13 @@ namespace olap::mdx {
 // <axis>      ::= COLUMNS | ROWS | PAGES | AXIS(<n>)
 //
 // Keywords are case-insensitive. Names may be bare or [bracketed].
+//
+// Set expressions nest at most kMaxSetNesting levels deep (every brace,
+// tuple, set function and member path is one level); deeper input is
+// kInvalidArgument naming the offset. Parsing, binding and the AST's
+// destructor recurse once per level, so the cap keeps them on the stack.
+inline constexpr int kMaxSetNesting = 256;
+
 Result<ParsedQuery> Parse(std::string_view text);
 
 }  // namespace olap::mdx

@@ -1,5 +1,6 @@
 #include "rules/rule_parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 #include <vector>
@@ -22,6 +23,8 @@ class Lexer {
   explicit Lexer(std::string_view text) : text_(text) { Advance(); }
 
   const Token& peek() const { return current_; }
+  // Byte offset of the current token.
+  size_t offset() const { return token_start_; }
   // The first lexical error (a bad numeric literal); lexing stops there and
   // the token stream reads as ended.
   const Status& status() const { return status_; }
@@ -51,6 +54,7 @@ class Lexer {
            std::isspace(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
+    token_start_ = pos_;
     if (pos_ >= text_.size()) {
       current_ = Token{Token::kEnd, "", 0.0};
       return;
@@ -100,6 +104,7 @@ class Lexer {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t token_start_ = 0;
   Token current_;
   Status status_;
 };
@@ -176,23 +181,36 @@ class RuleParser {
     return schema_.dimension(measure_dim).FindMember(tok.text);
   }
 
+  // kInvalidArgument once `levels` passes kMaxRuleNesting.
+  Status CheckNesting(int levels) const {
+    if (levels <= kMaxRuleNesting) return Status::Ok();
+    return Status::InvalidArgument(
+        "rule expression nests deeper than " +
+        std::to_string(kMaxRuleNesting) + " levels (at offset " +
+        std::to_string(lexer_.offset()) + ")");
+  }
+
   // expr := term (('+'|'-') term)*
   Result<std::unique_ptr<Expr>> ParseExpr() {
     Result<std::unique_ptr<Expr>> lhs = ParseTerm();
     if (!lhs.ok()) return lhs.status();
     std::unique_ptr<Expr> node = std::move(*lhs);
+    int height = height_;
     while (true) {
+      Expr::Op op = Expr::Op::kAdd;
       if (lexer_.TakeSymbol('+')) {
-        Result<std::unique_ptr<Expr>> rhs = ParseTerm();
-        if (!rhs.ok()) return rhs.status();
-        node = Expr::Binary(Expr::Op::kAdd, std::move(node), std::move(*rhs));
+        op = Expr::Op::kAdd;
       } else if (lexer_.TakeSymbol('-')) {
-        Result<std::unique_ptr<Expr>> rhs = ParseTerm();
-        if (!rhs.ok()) return rhs.status();
-        node = Expr::Binary(Expr::Op::kSub, std::move(node), std::move(*rhs));
+        op = Expr::Op::kSub;
       } else {
+        height_ = height;
         return node;
       }
+      Result<std::unique_ptr<Expr>> rhs = ParseTerm();
+      if (!rhs.ok()) return rhs.status();
+      height = std::max(height, height_) + 1;
+      OLAP_RETURN_IF_ERROR(CheckNesting(height));
+      node = Expr::Binary(op, std::move(node), std::move(*rhs));
     }
   }
 
@@ -201,25 +219,31 @@ class RuleParser {
     Result<std::unique_ptr<Expr>> lhs = ParseFactor();
     if (!lhs.ok()) return lhs.status();
     std::unique_ptr<Expr> node = std::move(*lhs);
+    int height = height_;
     while (true) {
+      Expr::Op op = Expr::Op::kMul;
       if (lexer_.TakeSymbol('*')) {
-        Result<std::unique_ptr<Expr>> rhs = ParseFactor();
-        if (!rhs.ok()) return rhs.status();
-        node = Expr::Binary(Expr::Op::kMul, std::move(node), std::move(*rhs));
+        op = Expr::Op::kMul;
       } else if (lexer_.TakeSymbol('/')) {
-        Result<std::unique_ptr<Expr>> rhs = ParseFactor();
-        if (!rhs.ok()) return rhs.status();
-        node = Expr::Binary(Expr::Op::kDiv, std::move(node), std::move(*rhs));
+        op = Expr::Op::kDiv;
       } else {
+        height_ = height;
         return node;
       }
+      Result<std::unique_ptr<Expr>> rhs = ParseFactor();
+      if (!rhs.ok()) return rhs.status();
+      height = std::max(height, height_) + 1;
+      OLAP_RETURN_IF_ERROR(CheckNesting(height));
+      node = Expr::Binary(op, std::move(node), std::move(*rhs));
     }
   }
 
   // factor := number | measure | '(' expr ')' | '-' factor
   Result<std::unique_ptr<Expr>> ParseFactor() {
     if (lexer_.TakeSymbol('(')) {
+      OLAP_RETURN_IF_ERROR(CheckNesting(++depth_));
       Result<std::unique_ptr<Expr>> inner = ParseExpr();
+      --depth_;
       if (!inner.ok()) return inner.status();
       if (!lexer_.TakeSymbol(')')) {
         return Status::InvalidArgument("expected ')' in rule expression");
@@ -227,11 +251,15 @@ class RuleParser {
       return inner;
     }
     if (lexer_.TakeSymbol('-')) {
+      OLAP_RETURN_IF_ERROR(CheckNesting(++depth_));
       Result<std::unique_ptr<Expr>> inner = ParseFactor();
+      --depth_;
       if (!inner.ok()) return inner.status();
+      OLAP_RETURN_IF_ERROR(CheckNesting(++height_));
       return std::unique_ptr<Expr>(
           Expr::Binary(Expr::Op::kSub, Expr::Constant(0.0), std::move(*inner)));
     }
+    height_ = 1;
     Token tok = lexer_.Take();
     if (tok.kind == Token::kNumber) {
       return std::unique_ptr<Expr>(Expr::Constant(tok.number));
@@ -252,6 +280,8 @@ class RuleParser {
   const Schema& schema_;
   Lexer lexer_;
   std::string_view text_;
+  int depth_ = 0;   // Parentheses and unary minuses open.
+  int height_ = 0;  // Height of the tree the last parse function returned.
 };
 
 }  // namespace

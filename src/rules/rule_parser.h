@@ -23,6 +23,15 @@ namespace olap {
 //
 // Name resolution: the target and all measure references resolve in the
 // schema's measure dimension; scope dimensions/members resolve by name.
+//
+// An expression nests at most kMaxRuleNesting levels deep: open
+// parentheses and unary minuses count while parsing, and so do the levels
+// of the expression tree (each binary operator sits one level above its
+// operands). Deeper input is kInvalidArgument naming the offset. Parsing,
+// evaluation and the tree's destructor recurse once per level, so the cap
+// keeps them on the stack.
+inline constexpr int kMaxRuleNesting = 256;
+
 Result<Rule> ParseRule(const Schema& schema, std::string_view text);
 
 }  // namespace olap

@@ -16,7 +16,6 @@ struct DeltaMetrics {
   Counter* full_fallbacks;
   Counter* chunks_affected;
   Counter* chunks_patched;
-  Counter* stages_reused;
   static const DeltaMetrics& Get() {
     static DeltaMetrics m{
         MetricsRegistry::Global().counter("delta.refresh.runs"),
@@ -24,7 +23,6 @@ struct DeltaMetrics {
         MetricsRegistry::Global().counter("delta.refresh.full_fallbacks"),
         MetricsRegistry::Global().counter("delta.refresh.chunks_affected"),
         MetricsRegistry::Global().counter("delta.refresh.chunks_patched"),
-        MetricsRegistry::Global().counter("scenario.compose.stages_reused"),
     };
     return m;
   }
@@ -100,73 +98,6 @@ std::vector<ChunkId> DeltaBatch::TouchedChunks() const {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprint
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct Fnv {
-  uint64_t h = 1469598103934665603ull;
-  void Bytes(const void* p, size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void I64(int64_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    I64(static_cast<int64_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-};
-
-}  // namespace
-
-uint64_t ScenarioFingerprint(const std::vector<ScenarioSpec>& specs) {
-  if (specs.empty()) return 0;
-  Fnv f;
-  f.I64(static_cast<int64_t>(specs.size()));
-  for (const ScenarioSpec& spec : specs) {
-    f.I64(spec.varying_dim);
-    f.I64(static_cast<int64_t>(spec.mode));
-    for (MemberId m : spec.scope_members) f.I64(m);
-    f.I64(spec.pebbling_read_order ? 1 : 0);
-    f.I64(static_cast<int64_t>(spec.ops.size()));
-    for (const ScenarioOp& op : spec.ops) {
-      f.I64(static_cast<int64_t>(op.kind));
-      switch (op.kind) {
-        case ScenarioOp::Kind::kIntroduce:
-          for (const NewMemberSpec& s : op.introductions) {
-            f.Str(s.name);
-            f.Str(s.parent);
-            f.I64(s.inner ? 1 : 0);
-            f.I64(s.from_moment);
-            f.I64(static_cast<int64_t>(s.seed));
-            f.Str(s.source);
-            f.F64(s.factor);
-          }
-          break;
-        case ScenarioOp::Kind::kSplit:
-          for (const ChangeTuple& c : op.changes) {
-            f.I64(c.member);
-            f.I64(c.old_parent);
-            f.I64(c.new_parent);
-            f.I64(c.moment);
-          }
-          break;
-        case ScenarioOp::Kind::kPerspective:
-          for (int m : op.perspectives.moments()) f.I64(m);
-          f.I64(static_cast<int64_t>(op.semantics));
-          break;
-      }
-    }
-  }
-  return f.h;
-}
-
-// ---------------------------------------------------------------------------
 // IncrementalScenario
 // ---------------------------------------------------------------------------
 
@@ -177,47 +108,20 @@ Result<IncrementalScenario> IncrementalScenario::Create(
   IncrementalScenario inc;
   inc.base_ = base;
   inc.specs_ = std::move(specs);
-  inc.fingerprint_ = ScenarioFingerprint(inc.specs_);
-  OLAP_RETURN_IF_ERROR(inc.RecomputeFrom(0, opts));
+  OLAP_RETURN_IF_ERROR(inc.Recompute(opts));
   return inc;
 }
 
-Status IncrementalScenario::RecomputeFrom(size_t first_stage,
-                                          const ScenarioEvalOptions& opts) {
-  const size_t n = specs_.size();
-  if (n <= 1) {
-    // Single-spec (or identity) stacks go through the algebra whole — the
-    // exact path the executor takes, bit-identical by construction.
-    Result<PerspectiveCube> pc = ComposeScenarios(*base_, specs_, opts);
-    if (!pc.ok()) return pc.status();
-    intermediates_.clear();
-    pc_.emplace(*std::move(pc));
-    return Status::Ok();
-  }
-  // Multi-spec composition, stage by stage with intermediates retained so a
-  // later UpdateSpec can re-lower only the dirtied suffix. Each stage's
-  // output cube is what ComposeScenarios' internal loop would have carried
-  // forward (evaluation mode does not shape the output cube, only how
-  // derived cells are later served).
-  if (first_stage > n - 1) first_stage = n - 1;
-  intermediates_.resize(n - 1);
-  Cube current = first_stage == 0 ? *base_ : intermediates_[first_stage - 1];
-  for (size_t i = first_stage; i < n; ++i) {
-    Result<PerspectiveCube> stage = ComputeScenario(current, specs_[i], opts);
-    if (!stage.ok()) return stage.status();
-    current = stage->output();
-    if (i + 1 < n) intermediates_[i] = current;
-  }
-  EvalMode combined = EvalMode::kNonVisual;
-  for (const ScenarioSpec& spec : specs_) {
-    if (spec.mode == EvalMode::kVisual) combined = EvalMode::kVisual;
-  }
-  pc_.emplace(base_, std::move(current), combined, /*varying_dim=*/-1);
+Status IncrementalScenario::Recompute(const ScenarioEvalOptions& opts) {
+  Result<PerspectiveCube> pc =
+      ComposeScenarios(*base_, specs_, opts, &cell_map_);
+  if (!pc.ok()) return pc.status();
+  pc_.emplace(*std::move(pc));
   return Status::Ok();
 }
 
 int64_t IncrementalScenario::PatchCells(const DeltaBatch& batch) {
-  const DestTable& map = pc_->dest_table();
+  const DestTable& map = cell_map_;
   const int vd = specs_.front().varying_dim;
   const int param_dim = base_->schema().parameter_of(vd);
   Cube* out = pc_->mutable_output();
@@ -269,7 +173,7 @@ Status IncrementalScenario::ApplyDelta(const DeltaBatch& batch,
   if (needs_rebuild_) return fail(Status::FailedPrecondition(
       "scenario needs Rebuild() after an interrupted refresh"));
 
-  if (!pc_->dest_table().empty()) {
+  if (!cell_map_.empty()) {
     // The cell path: once it starts writing it runs to the end, so the
     // retained cube is never left half-patched.
     if (Status s = opts.cancel.Poll("delta.refresh"); !s.ok()) return fail(s);
@@ -296,28 +200,14 @@ Status IncrementalScenario::ApplyDelta(const DeltaBatch& batch,
   ScenarioEvalOptions so;
   so.eval_threads = opts.eval_threads;
   so.cancel = opts.cancel;
-  if (Status r = RecomputeFrom(0, so); !r.ok()) return fail(r);
+  if (Status r = Recompute(so); !r.ok()) return fail(r);
   if (cache_ != nullptr) cache_->DropResidentViews();
   needs_rebuild_ = false;
   return Status::Ok();
 }
 
-Status IncrementalScenario::UpdateSpec(size_t stage, ScenarioSpec spec,
-                                       const ScenarioEvalOptions& opts) {
-  if (stage >= specs_.size()) {
-    return Status::InvalidArgument("spec stage out of range");
-  }
-  specs_[stage] = std::move(spec);
-  fingerprint_ = ScenarioFingerprint(specs_);
-  DeltaMetrics::Get().stages_reused->Increment(static_cast<int64_t>(stage));
-  Status s = RecomputeFrom(stage, opts);
-  needs_rebuild_ = !s.ok();
-  if (s.ok() && cache_ != nullptr) cache_->DropResidentViews();
-  return s;
-}
-
 Status IncrementalScenario::Rebuild(const ScenarioEvalOptions& opts) {
-  Status s = RecomputeFrom(0, opts);
+  Status s = Recompute(opts);
   needs_rebuild_ = !s.ok();
   if (s.ok() && cache_ != nullptr) cache_->DropResidentViews();
   return s;

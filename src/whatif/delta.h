@@ -28,8 +28,9 @@ namespace olap {
 // = Cin(d_t,t,e), Def. 4.4; Split reassigns moments between instances of
 // one member, Def. 4.5), and one member's instances have disjoint validity
 // sets, so no two input cells share an output cell. The operators hand
-// back that map (DestTable, whatif/operators.h) and PerspectiveCube keeps
-// it composed across a spec's stages. A write to input cell (p, t, rest)
+// back that map (DestTable, whatif/operators.h), ComposeScenarios composes
+// it across a spec's ops for a caller that asks, and IncrementalScenario
+// keeps the map it asked for. A write to input cell (p, t, rest)
 // therefore changes exactly output cell (map(p, t), t, rest), or nothing
 // when map(p, t) < 0, and the output cell takes the written value itself.
 
@@ -108,11 +109,6 @@ struct RefreshStats {
   bool full_recompute = false;  // The scenario has no cell map.
 };
 
-// A stable fingerprint of a scenario stack, for the aggregate-cache key
-// extension: two stacks with the same fingerprint describe the same
-// transformation. FNV-1a over every spec field; empty stack => 0.
-uint64_t ScenarioFingerprint(const std::vector<ScenarioSpec>& specs);
-
 // A perspective cube kept alive across edits.
 //
 //   IncrementalScenario inc = *IncrementalScenario::Create(&cube, {spec});
@@ -122,15 +118,11 @@ uint64_t ScenarioFingerprint(const std::vector<ScenarioSpec>& specs);
 //   inc.ApplyDelta(batch);               // rewrites only the mapped cells
 //   ... inc.cube() is bit-identical to a from-scratch recompute ...
 //
-// The cell path applies whenever the retained cube has a cell map
-// (PerspectiveCube::dest_table): single-spec stacks of relocate and split
+// The cell path applies whenever the composition handed back a cell map
+// (ComposeScenarios' `cell_map`): single-spec stacks of relocate and split
 // ops. Anything else (INTRODUCE, Multiple-MDX, multi-spec stacks) falls
-// back to a full recompute through the same call.
-//
-// Structural scenario edits go through UpdateSpec: replacing spec k of a
-// composed stack re-lowers only stages k..end, reusing the retained
-// intermediate cubes of the unchanged prefix (counted by
-// scenario.compose.stages_reused).
+// back to a full recompute through the same call: one ComposeScenarios
+// over the base.
 class IncrementalScenario {
  public:
   // Computes the initial perspective cube. `base` must outlive the object.
@@ -143,7 +135,6 @@ class IncrementalScenario {
 
   const PerspectiveCube& cube() const { return *pc_; }
   const std::vector<ScenarioSpec>& specs() const { return specs_; }
-  uint64_t fingerprint() const { return fingerprint_; }
   // True after a cancelled / failed refresh whose delta already reached the
   // base cube: the retained output no longer reflects the base and must be
   // rebuilt before serving.
@@ -155,12 +146,6 @@ class IncrementalScenario {
   // base, at every eval_threads setting.
   Status ApplyDelta(const DeltaBatch& batch, const RefreshOptions& opts = {},
                     RefreshStats* stats = nullptr);
-
-  // Replaces spec `stage` and re-lowers stages stage..end from the retained
-  // intermediate outputs. The attached cache (if any) is dropped to the
-  // rebuilt state (structural edits re-shape views wholesale).
-  Status UpdateSpec(size_t stage, ScenarioSpec spec,
-                    const ScenarioEvalOptions& opts = {});
 
   // Full recompute (the needs_rebuild escape hatch).
   Status Rebuild(const ScenarioEvalOptions& opts = {});
@@ -174,20 +159,19 @@ class IncrementalScenario {
  private:
   IncrementalScenario() = default;
 
-  // Recomputes stages `first_stage`..end from the retained prefix.
-  Status RecomputeFrom(size_t first_stage, const ScenarioEvalOptions& opts);
-  // Rewrites the output cell of every edit through the retained cube's
-  // cell map (which must not be empty); returns the distinct output chunks
-  // written or erased.
+  // Recomputes the retained cube and its cell map from the base.
+  Status Recompute(const ScenarioEvalOptions& opts);
+  // Rewrites the output cell of every edit through the cell map (which
+  // must not be empty); returns the distinct output chunks written or
+  // erased.
   int64_t PatchCells(const DeltaBatch& batch);
 
   const Cube* base_ = nullptr;
   std::vector<ScenarioSpec> specs_;
-  uint64_t fingerprint_ = 0;
-  // Output cube of every spec but the last (the last lives in pc_). Reused
-  // by UpdateSpec's suffix re-lowering.
-  std::vector<Cube> intermediates_;
   std::optional<PerspectiveCube> pc_;
+  // Where each base leaf cell lands in pc_'s output; empty when the stack
+  // has no such map.
+  DestTable cell_map_;
   AggregateCache* cache_ = nullptr;
   bool needs_rebuild_ = false;
 };

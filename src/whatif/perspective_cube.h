@@ -2,10 +2,12 @@
 #define OLAP_WHATIF_PERSPECTIVE_CUBE_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "agg/batch_eval.h"
+#include "common/cancellation.h"
 #include "common/status.h"
 #include "cube/cube.h"
 #include "rules/rule.h"
@@ -71,34 +73,32 @@ struct EvalStats {
 // needed to evaluate derived cells under the requested mode.
 //
 // The input cube must outlive this object (non-visual evaluation and
-// out-of-scope leaf reads go to it).
+// out-of-scope leaf reads go to it). The object owns an output cube only
+// when an op produced one; a stack with no op hands back its input, and
+// output() is then the input itself.
 //
 // When the computation was scoped to a member set (non-visual mode only),
 // the output cube holds only the scoped members' relocated cells; leaf
 // reads of other members transparently fall back to the input cube.
 class PerspectiveCube {
  public:
-  PerspectiveCube(const Cube* input, Cube output, EvalMode mode,
+  PerspectiveCube(const Cube* input, std::optional<Cube> output, EvalMode mode,
                   int varying_dim = -1,
-                  std::vector<MemberId> scoped_members = {},
-                  DestTable dest_table = {})
+                  std::vector<MemberId> scoped_members = {})
       : input_(input),
         output_(std::move(output)),
         mode_(mode),
         varying_dim_(varying_dim),
-        scoped_members_(scoped_members.begin(), scoped_members.end()),
-        dest_table_(std::move(dest_table)) {}
+        scoped_members_(scoped_members.begin(), scoped_members.end()) {}
 
   const Cube& input() const { return *input_; }
-  const Cube& output() const { return output_; }
-  // For delta refresh: rewrite output cells in place.
-  Cube* mutable_output() { return &output_; }
+  const Cube& output() const {
+    return output_.has_value() ? *output_ : *input_;
+  }
+  // For delta refresh: rewrite output cells in place. Null when no op ran
+  // (output() is then the input).
+  Cube* mutable_output() { return output_.has_value() ? &*output_ : nullptr; }
   EvalMode mode() const { return mode_; }
-  // Where each leaf cell of input() lands in output() along the varying
-  // dimension (Split's table, then Relocate's). Empty when no such map holds: after
-  // INTRODUCE, whose seeding copies cells across members, under
-  // Multiple-MDX, for a spec with no op and for multi-spec stacks.
-  const DestTable& dest_table() const { return dest_table_; }
 
   // Cell value under the query's evaluation mode:
   //  * leaf cells come from the transformed output cube (or the input cube
@@ -119,19 +119,20 @@ class PerspectiveCube {
   }
 
   const Cube* input_;
-  Cube output_;
+  std::optional<Cube> output_;
   EvalMode mode_;
   int varying_dim_;
   std::unordered_set<MemberId> scoped_members_;
-  DestTable dest_table_;
 };
 
-// Computes the perspective cube for `spec` over `in`.
+// Execution knobs of a what-if computation, shared by ComputePerspectiveCube,
+// scenario composition and comparison.
 //
 // `disk` (optional) charges every chunk fetched during the computation to
-// the simulated device; `stats` (optional) receives work counters.
-// `eval_threads` parallelises the Split/Relocate data movement over the
-// shared thread pool; results are bit-identical at every thread count.
+// the simulated device; `stats` (optional) is reset, then receives the work
+// counters accumulated across every op. `eval_threads` parallelises the
+// Split/Relocate data movement over the shared thread pool; results are
+// bit-identical at every thread count.
 //
 // `pipelined_io` (needs `disk`) switches the read passes from the
 // per-chunk charge loop to the charge-only coalescing walk
@@ -142,12 +143,21 @@ class PerspectiveCube {
 // `cancel` is polled at pass boundaries and threaded into the Split /
 // Relocate data movement (chunk granularity); a stop request returns
 // kCancelled / kDeadlineExceeded with no partially-built cube escaping.
+struct ScenarioEvalOptions {
+  EvalStrategy strategy = EvalStrategy::kDirect;
+  SimulatedDisk* disk = nullptr;
+  EvalStats* stats = nullptr;
+  int eval_threads = 1;
+  bool pipelined_io = false;
+  CancellationToken cancel;
+};
+
+// Computes the perspective cube for `spec` over `in`: the scenario
+// ScenarioSpec::FromWhatIf(spec) evaluated by ComputeScenario
+// (whatif/scenario_algebra.h).
 Result<PerspectiveCube> ComputePerspectiveCube(
     const Cube& in, const WhatIfSpec& spec,
-    EvalStrategy strategy = EvalStrategy::kDirect,
-    SimulatedDisk* disk = nullptr, EvalStats* stats = nullptr,
-    int eval_threads = 1, bool pipelined_io = false,
-    const CancellationToken& cancel = {});
+    const ScenarioEvalOptions& opts = {});
 
 // --- Lemma 5.1 / Sec. 5.2 planning helpers --------------------------------
 

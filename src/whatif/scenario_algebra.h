@@ -22,10 +22,13 @@ namespace olap {
 // scenario algebra generalises that to *pipelines*: an ordered stack of
 // positive (introduce, split) and negative (perspective) operations over
 // one varying dimension, composed with scenarios over other dimensions,
-// with a single evaluation-mode resolution rule (visual wins). It also
-// closes the algebra under *comparison*: containment / overlap / distance
-// between two scenarios' result cubes, evaluated cell-by-cell over a common
-// ref set so shared cover views are computed once.
+// with a single evaluation-mode resolution rule (visual wins). Every
+// scenario — an MDX clause, a composed stack, a COMPARE side, a live
+// scenario — runs through one op loop: each op transforms the previous
+// op's output. It also closes the algebra under *comparison*: containment /
+// overlap / distance between two scenarios' result cubes, evaluated
+// cell-by-cell over a common ref set so shared cover views are computed
+// once.
 
 // One step of a scenario pipeline. Exactly one payload is meaningful,
 // selected by `kind`.
@@ -66,8 +69,8 @@ struct ScenarioSpec {
   int varying_dim = -1;
   EvalMode mode = EvalMode::kNonVisual;
   std::vector<ScenarioOp> ops;
-  // Sec. 6.3 merge scoping (non-visual only); applies to the canonical
-  // single-pass pipeline, ignored by general op stacks.
+  // Sec. 6.3 merge scoping (non-visual only). Honoured only when this spec
+  // is the whole stack and canonical(); ignored otherwise.
   std::vector<MemberId> scope_members;
   bool pebbling_read_order = false;
 
@@ -76,39 +79,31 @@ struct ScenarioSpec {
   static ScenarioSpec FromWhatIf(const WhatIfSpec& spec);
 
   // True when `ops` matches the canonical order with each kind at most
-  // once — the shape ComputePerspectiveCube evaluates in one pass.
+  // once — the shape FromWhatIf produces.
   bool canonical() const;
-  // The WhatIfSpec equivalent; valid only when canonical().
-  WhatIfSpec CanonicalWhatIf() const;
 };
 
-// Execution knobs shared by composition and comparison, mirroring the
-// ComputePerspectiveCube parameter list.
-struct ScenarioEvalOptions {
-  EvalStrategy strategy = EvalStrategy::kDirect;
-  SimulatedDisk* disk = nullptr;
-  EvalStats* stats = nullptr;  // Reset, then accumulated across stages.
-  int eval_threads = 1;
-  bool pipelined_io = false;
-  CancellationToken cancel;
-};
-
-// Evaluates one scenario. A canonical spec takes the single-pass
-// ComputePerspectiveCube path (bit-identical to the classic WhatIfSpec
-// route, including scoping); a general op stack is applied stage by stage,
-// each stage transforming the previous stage's output cube.
+// Evaluates one scenario: ComposeScenarios(in, {spec}, opts).
 Result<PerspectiveCube> ComputeScenario(const Cube& in,
                                         const ScenarioSpec& spec,
                                         const ScenarioEvalOptions& opts = {});
 
 // Composes several scenarios (typically one per varying dimension) into a
-// single perspective cube: specs apply in order, each over the previous
-// output; derived cells follow the combined mode (visual wins). An empty
-// spec list yields the identity scenario (the base cube, non-visual).
-// Increments the scenario.compose.* counters.
+// single perspective cube. One loop applies every spec's ops in order, each
+// op over the previous op's output; derived cells follow the combined mode
+// (visual wins). A stack with no op hands back its input (non-visual for
+// an empty spec list). Increments the scenario.compose.* counters.
+//
+// `cell_map` (nullable) receives where each leaf cell of `in` lands in the
+// output along the varying dimension: the ops' destination tables composed
+// (whatif/operators.h). It is filled only for a single spec with neither
+// an INTRODUCE op (whose seeding copies cells across members) nor a
+// Multiple-MDX perspective (whose runs merge); otherwise, and on error, it
+// is left empty.
 Result<PerspectiveCube> ComposeScenarios(const Cube& in,
                                          const std::vector<ScenarioSpec>& specs,
-                                         const ScenarioEvalOptions& opts = {});
+                                         const ScenarioEvalOptions& opts = {},
+                                         DestTable* cell_map = nullptr);
 
 // ---------------------------------------------------------------------------
 // Scenario comparison
@@ -154,7 +149,7 @@ struct ScenarioCompareOptions {
 
 // Evaluates both scenario stacks over `in`, then compares them cell-by-cell
 // across `refs`. Increments the scenario.compare.* counters. Cancellation
-// (opts.eval.cancel) is polled between stages and per compared cell.
+// (opts.eval.cancel) is polled between ops and per compared cell.
 Result<ScenarioComparison> CompareScenarios(
     const Cube& in, const std::vector<ScenarioSpec>& a,
     const std::vector<ScenarioSpec>& b, const std::vector<CellRef>& refs,

@@ -96,61 +96,6 @@ TEST_F(AggregateCacheTest, EvaluatorUsesCache) {
   EXPECT_GT(cache.hits, hits_before);
 }
 
-TEST_F(AggregateCacheTest, CapacityEvictsLeastRecentlyServedFirst) {
-  // Four nested views with strictly growing footprints.
-  std::vector<GroupByMask> masks = {0b0000, 0b0001, 0b0011, 0b0111};
-  AggregateCache cache(ex_.cube, masks);
-  ASSERT_EQ(cache.num_views(), 4);
-  EXPECT_EQ(cache.capacity_cells(), -1);
-  const int64_t total = cache.TotalCells();
-  const int64_t largest = cache.view(3).num_cells();
-  ASSERT_GT(largest, cache.view(2).num_cells());
-  Counter* evictions = MetricsRegistry::Global().counter("cache.evictions");
-  const int64_t ev_before = evictions->value();
-
-  // Serve views largest-first so the largest is the LEAST recently used.
-  ASSERT_NE(cache.SmallestCovering(0b0111), nullptr);
-  ASSERT_NE(cache.SmallestCovering(0b0011), nullptr);
-  ASSERT_NE(cache.SmallestCovering(0b0001), nullptr);
-  ASSERT_NE(cache.SmallestCovering(0b0000), nullptr);
-
-  // One cell under the full footprint: exactly the LRU view (the largest)
-  // must go; everything else still fits.
-  cache.SetCapacity(total - 1);
-  EXPECT_FALSE(cache.view_resident(3));
-  EXPECT_TRUE(cache.view_resident(0));
-  EXPECT_TRUE(cache.view_resident(1));
-  EXPECT_TRUE(cache.view_resident(2));
-  EXPECT_EQ(cache.TotalCells(), total - largest);
-  EXPECT_EQ(evictions->value(), ev_before + 1);
-
-  // Serving skips the evicted view: the 3-dim group-by no longer has a
-  // covering view, the smaller ones still answer.
-  EXPECT_EQ(cache.SmallestCovering(0b0111), nullptr);
-  EXPECT_NE(cache.SmallestCovering(0b0011), nullptr);
-
-  // Capacity zero clears everything; lifting the bound does not resurrect
-  // evicted views (they need a rebuild).
-  cache.SetCapacity(0);
-  EXPECT_EQ(cache.TotalCells(), 0);
-  for (int i = 0; i < 4; ++i) EXPECT_FALSE(cache.view_resident(i));
-  cache.SetCapacity(-1);
-  EXPECT_EQ(cache.capacity_cells(), -1);
-  EXPECT_EQ(cache.TotalCells(), 0);
-  EXPECT_GE(evictions->value(), ev_before + 4);
-}
-
-TEST_F(AggregateCacheTest, CapacityTieBreaksTowardTheCostlierView) {
-  // Neither view has ever been served (equal recency): the tie goes to
-  // the larger view, freeing the most room per eviction.
-  std::vector<GroupByMask> masks = {0b0001, 0b0111};
-  AggregateCache cache(ex_.cube, masks);
-  ASSERT_GT(cache.view(1).num_cells(), cache.view(0).num_cells());
-  cache.SetCapacity(cache.view(0).num_cells());
-  EXPECT_FALSE(cache.view_resident(1)) << "larger view evicted on tie";
-  EXPECT_TRUE(cache.view_resident(0));
-}
-
 TEST_F(AggregateCacheTest, PatchCellDeltaTracksEditsExactly) {
   std::vector<GroupByMask> masks = {0b0000, 0b0011, 0b0101, 0b1110};
   AggregateCache cache(ex_.cube, masks);
@@ -249,38 +194,6 @@ TEST(AggregateCacheEngineTest, QueriesAgreeWithAndWithoutAggregates) {
       }
     }
   }
-}
-
-TEST(AggregateCacheEngineTest, MutableAggregatesCapacityBoundsThePersistentCache) {
-  PaperExample ex = BuildPaperExample();
-  Database db;
-  ASSERT_TRUE(db.AddCube("W", ex.cube).ok());
-  ASSERT_TRUE(db.BuildAggregates("W", 6).ok());
-  AggregateCache* cache = db.mutable_aggregates("W");
-  ASSERT_NE(cache, nullptr);
-  const int64_t full = cache->TotalCells();
-  ASSERT_GT(full, 1);
-
-  const char* query =
-      "SELECT {Time.[Jan]} ON COLUMNS, {[FTE]} ON ROWS FROM W "
-      "WHERE (Measures.[Salary])";
-  Executor exec(&db);
-  Result<QueryResult> unbounded = exec.Execute(query, QueryOptions());
-  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
-
-  // A bound set between queries evicts down to the budget; the answer is
-  // unchanged (evicted views just stop serving).
-  cache->SetCapacity(full / 2);
-  EXPECT_LE(cache->TotalCells(), full / 2);
-  EXPECT_EQ(cache->capacity_cells(), full / 2);
-  Result<QueryResult> r = exec.Execute(query, QueryOptions());
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(unbounded->grid.at(0, 0), r->grid.at(0, 0));
-
-  // < 0 removes the bound (but does not resurrect evicted views).
-  cache->SetCapacity(-1);
-  EXPECT_EQ(cache->capacity_cells(), -1);
-  ASSERT_TRUE(exec.Execute(query, QueryOptions()).ok());
 }
 
 TEST(AggregateCacheEngineTest, BuildAggregatesValidation) {

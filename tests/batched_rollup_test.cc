@@ -277,8 +277,7 @@ TEST(BatchedRollupTest, WhatIfTransformedCubesMatch) {
       default: spec.semantics = Semantics::kExtendedBackward; break;
     }
 
-    Result<PerspectiveCube> pc = ComputePerspectiveCube(
-        world.cube, spec, EvalStrategy::kDirect, nullptr, nullptr, 1);
+    Result<PerspectiveCube> pc = ComputePerspectiveCube(world.cube, spec);
     ASSERT_TRUE(pc.ok()) << pc.status().ToString();
 
     // Batched evaluation on the *transformed* cube — the scratch cache is

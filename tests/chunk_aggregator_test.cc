@@ -57,7 +57,8 @@ TEST(GroupByResultTest, AccumulateSkipsNullAndProjects) {
   EXPECT_TRUE(g.Get({0}).is_null());
   g.Accumulate({0}, CellValue(2.0));
   g.Accumulate({0}, CellValue(3.0));
-  g.AccumulateFull({1, 7}, CellValue(5.0));  // Projects away dim 1.
+  g.Accumulate({1}, CellValue(5.0));
+  g.Accumulate({2}, CellValue::Null());  // ⊥ is skipped.
   EXPECT_EQ(g.Get({0}), CellValue(5.0));
   EXPECT_EQ(g.Get({1}), CellValue(5.0));
   EXPECT_TRUE(g.Get({2}).is_null());

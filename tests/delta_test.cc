@@ -7,8 +7,8 @@
 //     relocate scenarios rewrite only the cells their map reaches (one
 //     output chunk per one-cell edit), INTRODUCE stacks fall back to a
 //     (still correct) full recompute;
-//   * UpdateSpec on a composed stack re-lowers only the dirtied suffix and
-//     matches ComposeScenarios of the edited stack;
+//   * a composed two-spec stack has no cell map: Create and the refresh
+//     after an edit (a full recompute) each match ComposeScenarios;
 //   * an attached AggregateCache is patched cell by cell and matches a
 //     cache rebuilt from scratch;
 //   * the governor hooks: a full recompute's declined reservation surfaces
@@ -198,42 +198,33 @@ TEST_F(DeltaTest, IntroduceStackFallsBackToFullRecompute) {
                           "introduce fallback vs recompute");
 }
 
-TEST_F(DeltaTest, UpdateSpecRelowersOnlyTheDirtiedSuffix) {
+TEST_F(DeltaTest, TwoSpecStackRecomputesThroughOneComposition) {
   Cube cube = ex_.cube;
   ScenarioSpec split;
   split.varying_dim = ex_.org_dim;
   split.ops.push_back(ScenarioOp::SplitOp(
       {ChangeTuple{ex_.joe, ex_.contractor, ex_.fte, 3}}));
-  ScenarioSpec perspective = ForwardSpec();
+  const std::vector<ScenarioSpec> stack = {split, ForwardSpec()};
 
-  Result<IncrementalScenario> inc =
-      IncrementalScenario::Create(&cube, {split, perspective});
+  Result<IncrementalScenario> inc = IncrementalScenario::Create(&cube, stack);
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  Result<PerspectiveCube> created = ComposeScenarios(cube, stack);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ExpectCubesBitIdentical(created->output(), inc->cube().output(),
+                          "two-spec Create vs compose");
 
-  // Edit stage 1 only: backward semantics instead of forward.
-  ScenarioSpec edited = perspective;
-  edited.ops[0] =
-      ScenarioOp::Perspective(Perspectives({1}), Semantics::kBackward);
-  ASSERT_TRUE(inc->UpdateSpec(1, edited).ok());
+  DeltaBatch batch(&cube);
+  ASSERT_TRUE(batch.Set(At(ex_.fte_joe, 0, 0, 0), CellValue(29.0)).ok());
+  ASSERT_TRUE(batch.Set(At(ex_.contractor_joe, 0, 4, 0), CellValue(7.0)).ok());
+  RefreshStats stats;
+  ASSERT_TRUE(inc->ApplyDelta(batch, RefreshOptions{}, &stats).ok());
+  EXPECT_TRUE(stats.full_recompute);
+  EXPECT_FALSE(inc->needs_rebuild());
 
-  Result<PerspectiveCube> oracle = ComposeScenarios(cube, {split, edited});
-  ASSERT_TRUE(oracle.ok());
-  ExpectCubesBitIdentical(oracle->output(), inc->cube().output(),
-                          "suffix re-lower vs full compose");
-
-  EXPECT_FALSE(inc->UpdateSpec(7, edited).ok());  // Stage out of range.
-}
-
-TEST_F(DeltaTest, FingerprintIsStableAndSensitive) {
-  EXPECT_EQ(ScenarioFingerprint({}), 0u);
-  ScenarioSpec a = ForwardSpec();
-  EXPECT_EQ(ScenarioFingerprint({a}), ScenarioFingerprint({a}));
-  ScenarioSpec b = a;
-  b.ops[0] = ScenarioOp::Perspective(Perspectives({2}), Semantics::kForward);
-  EXPECT_NE(ScenarioFingerprint({a}), ScenarioFingerprint({b}));
-  ScenarioSpec c = a;
-  c.mode = EvalMode::kNonVisual;
-  EXPECT_NE(ScenarioFingerprint({a}), ScenarioFingerprint({c}));
+  Result<PerspectiveCube> refreshed = ComposeScenarios(cube, stack);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  ExpectCubesBitIdentical(refreshed->output(), inc->cube().output(),
+                          "two-spec refresh vs compose");
 }
 
 TEST_F(DeltaTest, AttachedCacheIsPatchedToMatchARebuild) {

@@ -332,14 +332,13 @@ TEST(KernelEquivalenceTest, PerspectiveCubeIsThreadCountInvariant) {
     spec.perspectives = RandomPerspectives(&rng, world.months);
     spec.semantics = RandomSemantics(&rng);
 
-    Result<PerspectiveCube> ref =
-        ComputePerspectiveCube(world.cube, spec, EvalStrategy::kDirect,
-                               nullptr, nullptr, 1);
+    Result<PerspectiveCube> ref = ComputePerspectiveCube(world.cube, spec);
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     for (int threads : {2, 4, 8}) {
+      ScenarioEvalOptions opts;
+      opts.eval_threads = threads;
       Result<PerspectiveCube> got =
-          ComputePerspectiveCube(world.cube, spec, EvalStrategy::kDirect,
-                                 nullptr, nullptr, threads);
+          ComputePerspectiveCube(world.cube, spec, opts);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ExpectBitIdentical(ref->output(), got->output(), world.org_dim,
                          "seed " + std::to_string(seed) + " threads " +

@@ -1,7 +1,7 @@
 // Robustness: the MDX front end must return INVALID_ARGUMENT-style errors,
 // never crash, on arbitrary garbage — random byte strings, random token
-// soups, truncations/mutations of valid queries, and numeric literals that
-// do not fit their context.
+// soups, truncations/mutations of valid queries, numeric literals that do
+// not fit their context, and set expressions nested past the cap.
 
 #include <string>
 #include <vector>
@@ -142,6 +142,44 @@ TEST(MdxFuzzTest, BadNumericLiteralsReturnInvalidArgument) {
       "SELECT {Time.[Jan]} ON COLUMNS, "
       "{Head([Organization].Members, 2147483647)} ON ROWS FROM Warehouse");
   EXPECT_TRUE(widest.ok()) << widest.status().ToString();
+}
+
+// Set expressions nest at most mdx::kMaxSetNesting levels: deeper input is
+// an INVALID_ARGUMENT naming the offset, from the parser and from the
+// executor, where it used to overflow the stack; input nested exactly at
+// the cap still parses and executes.
+TEST(MdxFuzzTest, DeepNestingReturnsInvalidArgument) {
+  // The axis set and the member path are one level each, so `braces`
+  // braces between them nest braces + 2 levels.
+  auto nested = [](int braces, const std::string& member,
+                   const std::string& cube) {
+    return "SELECT {" + std::string(braces, '{') + member +
+           std::string(braces, '}') + "} ON COLUMNS FROM " + cube;
+  };
+  PaperExample ex = BuildPaperExample();
+  Database db;
+  ASSERT_TRUE(db.AddCube("Warehouse", std::move(ex.cube)).ok());
+  Executor exec(&db);
+  for (const std::string& text :
+       {nested(20000, "[a]", "c"), nested(20000, "Time.[Jan]", "Warehouse"),
+        nested(mdx::kMaxSetNesting - 1, "Time.[Jan]", "Warehouse")}) {
+    Result<mdx::ParsedQuery> q = mdx::Parse(text);
+    ASSERT_FALSE(q.ok());
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument)
+        << q.status().ToString();
+    EXPECT_NE(q.status().message().find("at offset"), std::string::npos)
+        << q.status().ToString();
+    Result<QueryResult> r = exec.Execute(text);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+  const std::string at_cap =
+      nested(mdx::kMaxSetNesting - 2, "Time.[Jan]", "Warehouse");
+  EXPECT_TRUE(mdx::Parse(at_cap).ok());
+  Result<QueryResult> r = exec.Execute(at_cap);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->grid.num_columns(), 1);
 }
 
 }  // namespace

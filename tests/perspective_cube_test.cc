@@ -108,10 +108,14 @@ TEST_P(StrategyEquivalence, MultipleMdxMatchesDirect) {
   WhatIfSpec spec = Spec(moments, sem, EvalMode::kNonVisual);
 
   EvalStats direct_stats, multi_stats;
-  Result<PerspectiveCube> direct = ComputePerspectiveCube(
-      ex_.cube, spec, EvalStrategy::kDirect, nullptr, &direct_stats);
-  Result<PerspectiveCube> multi = ComputePerspectiveCube(
-      ex_.cube, spec, EvalStrategy::kMultipleMdx, nullptr, &multi_stats);
+  ScenarioEvalOptions direct_opts, multi_opts;
+  direct_opts.stats = &direct_stats;
+  multi_opts.strategy = EvalStrategy::kMultipleMdx;
+  multi_opts.stats = &multi_stats;
+  Result<PerspectiveCube> direct =
+      ComputePerspectiveCube(ex_.cube, spec, direct_opts);
+  Result<PerspectiveCube> multi =
+      ComputePerspectiveCube(ex_.cube, spec, multi_opts);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   ASSERT_TRUE(multi.ok()) << multi.status().ToString();
 
@@ -212,10 +216,11 @@ TEST_P(RevisitStrategyEquivalence, MultipleMdxMatchesDirect) {
                              EvalModeName(mode) + " " +
                              spec.perspectives.ToString();
 
-    Result<PerspectiveCube> direct =
-        ComputePerspectiveCube(wf.cube, spec, EvalStrategy::kDirect);
+    ScenarioEvalOptions multi_opts;
+    multi_opts.strategy = EvalStrategy::kMultipleMdx;
+    Result<PerspectiveCube> direct = ComputePerspectiveCube(wf.cube, spec);
     Result<PerspectiveCube> multi =
-        ComputePerspectiveCube(wf.cube, spec, EvalStrategy::kMultipleMdx);
+        ComputePerspectiveCube(wf.cube, spec, multi_opts);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     ASSERT_TRUE(multi.ok()) << multi.status().ToString();
     EXPECT_EQ(CountDifferingCells(direct->output(), multi->output()), 0)
@@ -311,9 +316,11 @@ TEST_F(PerspectiveCubeTest, ScopedComputationFallsBackForOutOfScope) {
 TEST_F(PerspectiveCubeTest, DiskChargingAndStats) {
   SimulatedDisk disk(DiskModel{}, /*cache=*/0);
   EvalStats stats;
+  ScenarioEvalOptions opts;
+  opts.disk = &disk;
+  opts.stats = &stats;
   Result<PerspectiveCube> pc =
-      ComputePerspectiveCube(ex_.cube, Spec({1, 3}, Semantics::kForward),
-                             EvalStrategy::kDirect, &disk, &stats);
+      ComputePerspectiveCube(ex_.cube, Spec({1, 3}, Semantics::kForward), opts);
   ASSERT_TRUE(pc.ok());
   EXPECT_GT(stats.chunk_reads, 0);
   EXPECT_GT(stats.cells_moved, 0);
@@ -330,10 +337,13 @@ TEST_F(PerspectiveCubeTest, PebblingReadOrderReducesPeakMergeChunks) {
   pebbling.pebbling_read_order = true;
 
   EvalStats stats_ascending, stats_pebbling;
-  Result<PerspectiveCube> a = ComputePerspectiveCube(
-      ex_.cube, ascending, EvalStrategy::kDirect, nullptr, &stats_ascending);
-  Result<PerspectiveCube> b = ComputePerspectiveCube(
-      ex_.cube, pebbling, EvalStrategy::kDirect, nullptr, &stats_pebbling);
+  ScenarioEvalOptions opts_ascending, opts_pebbling;
+  opts_ascending.stats = &stats_ascending;
+  opts_pebbling.stats = &stats_pebbling;
+  Result<PerspectiveCube> a =
+      ComputePerspectiveCube(ex_.cube, ascending, opts_ascending);
+  Result<PerspectiveCube> b =
+      ComputePerspectiveCube(ex_.cube, pebbling, opts_pebbling);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(stats_ascending.chunk_reads, stats_pebbling.chunk_reads);

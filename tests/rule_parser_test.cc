@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/database.h"
+#include "workload/paper_example.h"
 
 namespace olap {
 namespace {
@@ -130,6 +132,47 @@ TEST(RuleParserTest, BadNumericLiteralsReturnInvalidArgument) {
   // Literals that do convert whole still parse.
   Result<Rule> rule = ParseRule(schema, "Margin = .5 * Sales + 2. - 007");
   ASSERT_TRUE(rule.ok()) << rule.status().ToString();
+}
+
+// A rule expression nests at most kMaxRuleNesting levels: parentheses,
+// unary minuses and operator chains past the cap are an INVALID_ARGUMENT
+// naming the offset, from the parser and from Database::AddRule, where they
+// used to overflow the stack; input nested exactly at the cap still parses.
+TEST(RuleParserTest, DeepNestingReturnsInvalidArgument) {
+  auto parens = [](int n) {
+    return "Salary = " + std::string(n, '(') + "1" + std::string(n, ')');
+  };
+  auto minuses = [](int n) { return "Salary = " + std::string(n, '-') + "1"; };
+  auto chain = [](int ops, const char* step) {
+    std::string text = "Salary = 1";
+    for (int i = 0; i < ops; ++i) text += step;
+    return text;
+  };
+  PaperExample ex = BuildPaperExample();
+  const Schema schema = ex.cube.schema();
+  Database db;
+  ASSERT_TRUE(db.AddCube("Warehouse", std::move(ex.cube)).ok());
+  // A unary minus adds a tree level over its operand's leaf, and a chain
+  // of k operators is k + 1 levels tall.
+  for (const std::string& text :
+       {parens(20000), parens(kMaxRuleNesting + 1), minuses(200000),
+        minuses(kMaxRuleNesting), chain(1000000, "+1"),
+        chain(kMaxRuleNesting, "+1"), chain(kMaxRuleNesting, "*1")}) {
+    Result<Rule> rule = ParseRule(schema, text);
+    ASSERT_FALSE(rule.ok()) << text.size();
+    EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument)
+        << rule.status().ToString();
+    EXPECT_NE(rule.status().message().find("at offset"), std::string::npos)
+        << rule.status().ToString();
+    EXPECT_EQ(db.AddRule("Warehouse", text).code(),
+              StatusCode::kInvalidArgument);
+  }
+  for (const std::string& text :
+       {parens(kMaxRuleNesting), minuses(kMaxRuleNesting - 1),
+        chain(kMaxRuleNesting - 1, "+1"), chain(kMaxRuleNesting - 1, "*1")}) {
+    Result<Rule> rule = ParseRule(schema, text);
+    EXPECT_TRUE(rule.ok()) << rule.status().ToString();
+  }
 }
 
 // Robustness: rule text from any source must come back as a Status, never

@@ -5,6 +5,9 @@
 //     algebra's contract, checked here against the cell movement of the
 //     *serial cell-at-a-time reference operators* (tests/support), not the
 //     chunk kernels the engine uses;
+//   * ComputePerspectiveCube is ComputeScenario of the FromWhatIf stack
+//     (same cube, work and disk charges), a stack with no op hands back its
+//     input, and a scope on one spec of a longer stack changes no cell;
 //   * one documented counterexample where op order legitimately changes
 //     the result (introduction before vs after a negative scenario);
 //   * comparison laws: distance symmetry, containment reflexivity and
@@ -28,6 +31,7 @@
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
 #include "whatif/scenario_algebra.h"
+#include "workload/extended_examples.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -139,7 +143,7 @@ class ScenarioAlgebraTest : public ::testing::Test {
   PaperExample ex_;
 };
 
-TEST_F(ScenarioAlgebraTest, FromWhatIfRoundTripsThroughCanonicalForm) {
+TEST_F(ScenarioAlgebraTest, ComputePerspectiveCubeRunsTheFromWhatIfStack) {
   WhatIfSpec spec;
   spec.varying_dim = ex_.org_dim;
   spec.mode = EvalMode::kVisual;
@@ -155,15 +159,34 @@ TEST_F(ScenarioAlgebraTest, FromWhatIfRoundTripsThroughCanonicalForm) {
   ScenarioSpec s = ScenarioSpec::FromWhatIf(spec);
   ASSERT_EQ(s.ops.size(), 3u);
   EXPECT_TRUE(s.canonical());
-  WhatIfSpec back = s.CanonicalWhatIf();
-  EXPECT_EQ(back.varying_dim, spec.varying_dim);
-  EXPECT_EQ(back.mode, spec.mode);
-  EXPECT_EQ(back.semantics, spec.semantics);
-  EXPECT_EQ(back.perspectives.moments(), spec.perspectives.moments());
-  ASSERT_EQ(back.changes.size(), 1u);
-  EXPECT_EQ(back.changes[0].member, ex_.joe);
-  ASSERT_EQ(back.introductions.size(), 1u);
-  EXPECT_EQ(back.introductions[0].name, "Newbie");
+  EXPECT_EQ(s.ops[0].kind, ScenarioOp::Kind::kIntroduce);
+  EXPECT_EQ(s.ops[1].kind, ScenarioOp::Kind::kSplit);
+  EXPECT_EQ(s.ops[2].kind, ScenarioOp::Kind::kPerspective);
+
+  // The classic entry point and the algebra's evaluate the same stack: the
+  // same cube bit for bit, the same work and the same disk charges.
+  SimulatedDisk disk_a(DiskModel{}, /*cache=*/0);
+  SimulatedDisk disk_b(DiskModel{}, /*cache=*/0);
+  EvalStats stats_a, stats_b;
+  ScenarioEvalOptions opts_a, opts_b;
+  opts_a.disk = &disk_a;
+  opts_a.stats = &stats_a;
+  opts_b.disk = &disk_b;
+  opts_b.stats = &stats_b;
+  Result<PerspectiveCube> a = ComputePerspectiveCube(ex_.cube, spec, opts_a);
+  Result<PerspectiveCube> b = ComputeScenario(ex_.cube, s, opts_b);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ExpectBitIdentical(a->output(), b->output(), ex_.org_dim,
+                     "ComputePerspectiveCube vs ComputeScenario");
+  EXPECT_EQ(stats_a.passes, stats_b.passes);
+  EXPECT_EQ(stats_a.chunk_reads, stats_b.chunk_reads);
+  EXPECT_EQ(stats_a.cells_moved, stats_b.cells_moved);
+  EXPECT_EQ(stats_a.cells_seeded, stats_b.cells_seeded);
+  EXPECT_EQ(stats_a.virtual_io_seconds, stats_b.virtual_io_seconds);
+  EXPECT_EQ(stats_a.peak_merge_chunks, stats_b.peak_merge_chunks);
+  EXPECT_GT(stats_a.chunk_reads, 0);
+  EXPECT_EQ(disk_a.stats().physical_reads, disk_b.stats().physical_reads);
 
   // Reordered stacks are not canonical: [perspective, split].
   ScenarioSpec reordered;
@@ -172,6 +195,64 @@ TEST_F(ScenarioAlgebraTest, FromWhatIfRoundTripsThroughCanonicalForm) {
       ScenarioOp::Perspective(spec.perspectives, spec.semantics));
   reordered.ops.push_back(ScenarioOp::SplitOp(spec.changes));
   EXPECT_FALSE(reordered.canonical());
+}
+
+TEST_F(ScenarioAlgebraTest, StackWithNoOpHandsBackItsInput) {
+  Result<PerspectiveCube> empty = ComposeScenarios(ex_.cube, {});
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(&empty->output(), &ex_.cube);
+  EXPECT_EQ(&empty->input(), &ex_.cube);
+  EXPECT_EQ(empty->mode(), EvalMode::kNonVisual);
+
+  // A spec with no op is checked, then hands back its input too.
+  ScenarioSpec no_op;
+  no_op.varying_dim = ex_.org_dim;
+  no_op.mode = EvalMode::kVisual;
+  Result<PerspectiveCube> identity = ComputeScenario(ex_.cube, no_op);
+  ASSERT_TRUE(identity.ok()) << identity.status().ToString();
+  EXPECT_EQ(&identity->output(), &ex_.cube);
+  EXPECT_EQ(identity->mode(), EvalMode::kVisual);
+  no_op.varying_dim = ex_.location_dim;  // Not varying.
+  EXPECT_EQ(ComputeScenario(ex_.cube, no_op).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// Sec. 6.3 scoping holds only for a lone canonical spec: in a longer stack
+// the next op would read the scoped op's partial output, so the scope is
+// ignored there and the stack equals its unscoped self.
+TEST_F(ScenarioAlgebraTest, ScopeOnOneSpecOfAStackChangesNoCell) {
+  MultiVaryingExample mv = BuildMultiVaryingExample();
+  ScenarioSpec org;
+  org.varying_dim = mv.org_dim;
+  org.ops.push_back(
+      ScenarioOp::Perspective(Perspectives({0}), Semantics::kStatic));
+  ScenarioSpec product;
+  product.varying_dim = mv.product_dim;
+  product.ops.push_back(
+      ScenarioOp::Perspective(Perspectives({0}), Semantics::kForward));
+  ScenarioSpec scoped_org = org;
+  scoped_org.scope_members = {mv.joe};
+
+  Result<PerspectiveCube> unscoped =
+      ComposeScenarios(mv.cube, {org, product});
+  Result<PerspectiveCube> scoped =
+      ComposeScenarios(mv.cube, {scoped_org, product});
+  ASSERT_TRUE(unscoped.ok()) << unscoped.status().ToString();
+  ASSERT_TRUE(scoped.ok()) << scoped.status().ToString();
+  ExpectBitIdentical(unscoped->output(), scoped->output(), mv.org_dim,
+                     "scoped vs unscoped stack");
+  ExpectBitIdentical(unscoped->output(), scoped->output(), mv.product_dim,
+                     "scoped vs unscoped stack");
+  // Lisa is out of the scope and keeps her leaf cells.
+  const Cube& out = scoped->output();
+  const Dimension& org_dim = out.schema().dimension(mv.org_dim);
+  int64_t lisa_cells = 0;
+  out.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
+    if (org_dim.PositionMember(coords[mv.org_dim]) == mv.lisa && !v.is_null()) {
+      ++lisa_cells;
+    }
+  });
+  EXPECT_GT(lisa_cells, 0);
 }
 
 TEST_F(ScenarioAlgebraTest, ComposeIsBitIdenticalToSequentialReferenceApply) {

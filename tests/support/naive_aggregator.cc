@@ -9,8 +9,14 @@ std::vector<GroupByResult> NaiveAggregator::Compute(
   std::vector<GroupByResult> out;
   out.reserve(masks.size());
   for (GroupByMask mask : masks) out.push_back(MakeGroupByShell(cube, mask));
+  std::vector<int> kept;
   cube.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
-    for (GroupByResult& g : out) g.AccumulateFull(coords, v);
+    for (GroupByResult& g : out) {
+      // Project the full-rank coordinate onto the group-by's kept dims.
+      kept.resize(g.kept_dims().size());
+      for (size_t i = 0; i < kept.size(); ++i) kept[i] = coords[g.kept_dims()[i]];
+      g.Accumulate(kept, v);
+    }
   });
   return out;
 }

@@ -164,9 +164,10 @@ TEST_F(TraceFailureTest, RejectedWhatIfSpecClosesComputeSpanWithError) {
   WhatIfSpec spec;
   spec.varying_dim = -1;
   EvalStats stats;
+  ScenarioEvalOptions opts;
+  opts.stats = &stats;
   ASSERT_TRUE(TraceCollector::Enable());
-  Result<PerspectiveCube> pc = ComputePerspectiveCube(
-      ex.cube, spec, EvalStrategy::kDirect, nullptr, &stats, 1);
+  Result<PerspectiveCube> pc = ComputePerspectiveCube(ex.cube, spec, opts);
   EXPECT_FALSE(pc.ok());
   ExpectClosedErrorTree(TraceCollector::DisableAndDrain(),
                         "whatif.compute_perspective_cube", "varying");
