@@ -38,11 +38,11 @@
 #include "agg/batch_eval.h"
 #include "agg/chunk_aggregator.h"
 #include "agg/kernels.h"
-#include "agg/rollup.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/executor.h"
+#include "support/naive_aggregator.h"
 #include "support/operator_oracles.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
@@ -129,10 +129,10 @@ Timing TimeRelocate(const Cube& cube, int vd,
     if (out.NumStoredChunks() == 0 && cube.NumStoredChunks() > 0) abort();
   });
   for (int threads : kThreadCounts) {
-    Cube out = Relocate(cube, vd, vs_out, {}, true, nullptr, threads);
+    Cube out = Relocate(cube, vd, vs_out, {}, nullptr, threads);
     t.identical = t.identical && CubesBitIdentical(ref, out);
     t.kernel_ms[threads] = BestOfMs(reps, [&] {
-      Cube timed = Relocate(cube, vd, vs_out, {}, true, nullptr, threads);
+      Cube timed = Relocate(cube, vd, vs_out, {}, nullptr, threads);
       if (timed.NumStoredChunks() != ref.NumStoredChunks()) abort();
     });
   }
@@ -656,7 +656,7 @@ ProfileReport RunProfile(bool smoke) {
   MetricsRegistry::Snapshot before = MetricsRegistry::Global().TakeSnapshot();
   for (int threads : {1, 4}) {
     auto run = [&] {
-      Cube out = Relocate(pc.cube, pc.product_dim, vs_out, {}, true, nullptr,
+      Cube out = Relocate(pc.cube, pc.product_dim, vs_out, {}, nullptr,
                           threads);
       if (out.NumStoredChunks() != pc.cube.NumStoredChunks()) abort();
     };

@@ -10,6 +10,14 @@ namespace olap {
 
 namespace {
 
+// Planner limits. A mask whose dense view exceeds kMaxViewCells, or that
+// fewer than kMinRefsPerView refs need, is not materialized (its refs fall
+// to covering views or the residual roll-up); a plan keeps at most
+// kMaxViews scratch views, by descending ref count.
+constexpr int64_t kMaxViewCells = int64_t{1} << 22;
+constexpr int kMaxViews = 32;
+constexpr int64_t kMinRefsPerView = 2;
+
 // Batched-evaluation accounting. Every counter is a deterministic function
 // of the query (never of the thread count); the stats contract suite
 // asserts the closure refs == leaf + view_served + residual + null_scope.
@@ -140,18 +148,12 @@ BatchCellEvaluator::~BatchCellEvaluator() {
 const BatchCellEvaluator::ScopeEntry& BatchCellEvaluator::ScopeOf(
     int dim, const AxisRef& ref) {
   auto [it, inserted] = scopes_[dim].try_emplace(ScopeKey(ref));
-  if (inserted) {
-    // A ref from a wider (what-if augmented) schema — e.g. an introduced
-    // member evaluated non-visually against the input cube — is unknown
-    // here. Leave its scope empty: the perspective cube evaluates such
-    // refs on its output cube and never serves them from this evaluator.
-    const Dimension& d = data_.schema().dimension(dim);
-    const bool in_schema =
-        ref.member >= 0 && ref.member < d.num_members() &&
-        (ref.instance == kInvalidInstance || ref.instance < d.num_instances());
-    if (in_schema) {
-      it->second.positions = data_.PositionsUnderWeighted(dim, ref);
-    }
+  // A grid tuple from a wider (what-if augmented) schema — e.g. an
+  // introduced member of a non-visual grid prepared on the input cube — is
+  // unknown here. Leave its scope empty: PerspectiveCube routes such refs
+  // to its output cube and never to this evaluator.
+  if (inserted && ref.In(data_.schema().dimension(dim))) {
+    it->second.positions = data_.PositionsUnderWeighted(dim, ref);
   }
   return it->second;
 }
@@ -207,16 +209,6 @@ void BatchCellEvaluator::PrepareRefs(const std::vector<CellRef>& refs) {
   std::unordered_map<GroupByMask, int64_t> mask_counts;
   std::vector<int> leaf_coords;
   for (const CellRef& ref : refs) {
-    // Refs from a wider (augmented) schema are not servable here; see
-    // ScopeOf. Skipping them keeps IsLeafRef within bounds.
-    bool in_schema = true;
-    for (int d = 0; d < data_.num_dims() && in_schema; ++d) {
-      const Dimension& dim = data_.schema().dimension(d);
-      in_schema = ref[d].member >= 0 && ref[d].member < dim.num_members() &&
-                  (ref[d].instance == kInvalidInstance ||
-                   ref[d].instance < dim.num_instances());
-    }
-    if (!in_schema) continue;
     GroupByMask mask = 0;
     for (int d = 0; d < data_.num_dims(); ++d) {
       if (NeedsBit(d, ref[d])) mask |= GroupByMask{1} << d;
@@ -245,13 +237,13 @@ void BatchCellEvaluator::PlanAndMaterialize(
   candidates.reserve(mask_counts.size());
   for (const auto& [mask, count] : mask_counts) {
     if (mask == full_mask) continue;  // Its view is the raw cube.
-    if (count < options_.min_refs_per_view) continue;
+    if (count < kMinRefsPerView) continue;
     if (persistent_ != nullptr &&
         persistent_->SmallestCovering(mask) != nullptr) {
       continue;  // Already materialized persistently.
     }
     const int64_t cells = lattice.OutputCells(mask);
-    if (cells > options_.max_view_cells) continue;
+    if (cells > kMaxViewCells) continue;
     candidates.push_back({mask, count, cells});
   }
   // Superset absorption: every materialized mask costs one AccumulateAt per
@@ -300,8 +292,8 @@ void BatchCellEvaluator::PlanAndMaterialize(
               if (a.cells != b.cells) return a.cells < b.cells;
               return a.mask < b.mask;
             });
-  if (static_cast<int>(candidates.size()) > options_.max_views) {
-    candidates.resize(options_.max_views);
+  if (static_cast<int>(candidates.size()) > kMaxViews) {
+    candidates.resize(kMaxViews);
   }
 
   const BatchMetrics& bm = BatchMetrics::Get();
@@ -358,13 +350,17 @@ void BatchCellEvaluator::PlanAndMaterialize(
 }
 
 CellValue BatchCellEvaluator::Evaluate(const CellRef& ref) const {
+  std::vector<int> leaf_coords;
+  if (!data_.IsLeafRef(ref, &leaf_coords)) return EvaluateDerived(ref);
   const BatchMetrics& bm = BatchMetrics::Get();
   bm.refs->Increment();
-  std::vector<int> leaf_coords;
-  if (data_.IsLeafRef(ref, &leaf_coords)) {
-    bm.leaf->Increment();
-    return data_.GetCell(leaf_coords);
-  }
+  bm.leaf->Increment();
+  return data_.GetCell(leaf_coords);
+}
+
+CellValue BatchCellEvaluator::EvaluateDerived(const CellRef& ref) const {
+  const BatchMetrics& bm = BatchMetrics::Get();
+  bm.refs->Increment();
 
   // Gather per-dimension weighted scopes (read-only cache lookups; refs not
   // seen at Prepare time — e.g. rule operands — resolve locally).

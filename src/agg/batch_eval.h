@@ -34,24 +34,16 @@ namespace olap {
 //  4. serves each derived cell as a weighted sum over the smallest
 //     covering view; cells no view covers fall back to the leaf roll-up.
 //
-// Evaluate(ref) returns exactly what EvaluateCell(data, ref) returns for
-// every ref, up to floating-point summation order (the sums are
-// re-associated; on integer-valued data, where double addition is exact,
-// results are bit-identical — asserted by bench and the randomized
-// equivalence suite). Evaluate is const and thread-safe: the scope cache
-// and views are read-only after Prepare*.
+// Evaluate(ref) returns exactly what the per-cell roll-up (a leaf read or
+// RollUpCell) returns for every ref, up to floating-point summation order
+// (the sums are re-associated; on integer-valued data, where double
+// addition is exact, results are bit-identical — asserted by bench and the
+// randomized equivalence suite). Evaluate is const and thread-safe: the
+// scope cache and views are read-only after Prepare*. The planner's limits
+// are constants of batch_eval.cc.
 struct BatchEvalOptions {
   // Parallelism of the view-materialization pass (never affects values).
   int threads = 1;
-  // A mask whose dense view exceeds this many cells is not materialized;
-  // its refs use the residual leaf roll-up instead.
-  int64_t max_view_cells = int64_t{1} << 22;
-  // At most this many scratch views per plan (kept by descending ref
-  // count).
-  int max_views = 32;
-  // Masks needed by fewer refs than this are not worth a dedicated
-  // materialization pass share; they fall to covering views or residual.
-  int64_t min_refs_per_view = 2;
   // Out-of-core scratch materialization: when non-null, the disk must have
   // a backing file storing the evaluator's data cube, and the scratch
   // views are built by streaming chunks from it
@@ -95,11 +87,10 @@ class BatchCellEvaluator {
       const std::vector<std::vector<std::pair<int, AxisRef>>>& row_overrides,
       const std::vector<std::vector<std::pair<int, AxisRef>>>& col_overrides);
 
-  // Plans and materializes cover views for an explicit list of refs (the
-  // MDX binder's FILTER/ORDER tuple evaluation).
+  // Plans and materializes cover views for an explicit list of refs of
+  // `data`'s schema (the MDX binder's Filter/Order keys, the refs a COMPARE
+  // side routes to this cube).
   void PrepareRefs(const std::vector<CellRef>& refs);
-
-  const Cube& data() const { return data_; }
 
   // The per-query scratch cache, or nullptr when the plan needed no scratch
   // views (everything leaf, covered by `persistent`, or over budget).
@@ -113,8 +104,12 @@ class BatchCellEvaluator {
     return scratch_.has_value() ? scratch_->num_views() : 0;
   }
 
-  // Thread-safe; value-equivalent to EvaluateCell(data(), ref).
+  // Thread-safe; value-equivalent to the per-cell roll-up. A leaf ref is a
+  // storage read, counted as agg.batch.leaf.
   CellValue Evaluate(const CellRef& ref) const;
+  // Evaluate for a ref the caller found is not a leaf of `data`, with no
+  // leaf test of its own (CellEvaluator, which reads leaves itself).
+  CellValue EvaluateDerived(const CellRef& ref) const;
 
  private:
   struct ScopeEntry {

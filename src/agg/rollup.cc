@@ -118,9 +118,7 @@ CellValue SumOverScopeWeighted(
   return sum;
 }
 
-CellValue EvaluateCell(const Cube& data, const CellRef& ref) {
-  std::vector<int> leaf_coords;
-  if (data.IsLeafRef(ref, &leaf_coords)) return data.GetCell(leaf_coords);
+CellValue RollUpCell(const Cube& data, const CellRef& ref) {
   std::vector<std::vector<std::pair<int, double>>> positions(data.num_dims());
   for (int d = 0; d < data.num_dims(); ++d) {
     positions[d] = data.PositionsUnderWeighted(d, ref[d]);

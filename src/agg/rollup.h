@@ -25,10 +25,10 @@ CellValue SumOverScopeWeighted(
     const Cube& data,
     const std::vector<std::vector<std::pair<int, double>>>& positions);
 
-// Evaluates the cell addressed by `ref` (each dimension a member or
-// instance). Leaf cells read storage directly; derived cells roll up with
-// consolidation weights.
-CellValue EvaluateCell(const Cube& data, const CellRef& ref);
+// The weighted roll-up of the cell `ref` addresses (each dimension a
+// member or instance) over its descendant leaf cells. CellEvaluator reads
+// leaf cells itself and rolls up derived ones here when no batch serves.
+CellValue RollUpCell(const Cube& data, const CellRef& ref);
 
 }  // namespace olap
 

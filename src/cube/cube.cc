@@ -231,16 +231,4 @@ void Cube::ForEachCell(
   }
 }
 
-void Cube::ClearSlice(int dim, int pos) {
-  for (auto& [id, chunk] : chunks_) {
-    std::vector<int> base = layout_.ChunkBase(id);
-    int lo = base[dim];
-    int hi = lo + layout_.chunk_sizes()[dim];
-    if (pos < lo || pos >= hi) continue;
-    layout_.ForEachCellInChunk(id, [&](const std::vector<int>& coords, int64_t off) {
-      if (coords[dim] == pos) chunk.Set(off, CellValue::Null());
-    });
-  }
-}
-
 }  // namespace olap

@@ -27,6 +27,13 @@ struct AxisRef {
   static AxisRef OfMember(MemberId m) { return AxisRef{m, kInvalidInstance}; }
   static AxisRef OfInstance(MemberId m, InstanceId i) { return AxisRef{m, i}; }
 
+  // False for a coordinate from a wider schema than `d`'s: a member
+  // INTRODUCE added, or an instance a Split created.
+  bool In(const Dimension& d) const {
+    return member >= 0 && member < d.num_members() &&
+           (instance == kInvalidInstance || instance < d.num_instances());
+  }
+
   friend bool operator==(const AxisRef& a, const AxisRef& b) {
     return a.member == b.member && a.instance == b.instance;
   }
@@ -159,10 +166,6 @@ class Cube {
                                  });
     }
   }
-
-  // Removes all cells at position `pos` of dimension `dim` (sets them to ⊥).
-  // Used by the Selection operator to drop sub-cubes of non-active members.
-  void ClearSlice(int dim, int pos);
 
  private:
   Status ResolveOneCoord(int dim, const std::string& path_name, int* out) const;

@@ -158,7 +158,8 @@ Result<QueryPlan> PlanQuery(const Database& db, const mdx::ParsedQuery& parsed,
   plan.cube = *cube;
   Result<BoundQuery> bound = [&] {
     TraceSpan span("query.bind");
-    Result<BoundQuery> r = mdx::Bind(parsed, plan.cube->schema(), &db, *cube);
+    Result<BoundQuery> r = mdx::Bind(parsed, plan.cube->schema(), &db, *cube,
+                                      db.rules(plan.cube_name));
     if (!r.ok()) span.SetError(r.status());
     return r;
   }();
@@ -410,18 +411,23 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
   }
   for (const auto& [dim, ref] : bound->slicer.refs) base[dim] = ref;
 
-  // The cube the grid's main evaluation path reads: the perspective output
-  // in visual mode, the (retained) input cube in non-visual mode, else the
+  // The cube the grid's derived refs read: the perspective output in
+  // visual mode, the (retained) input cube in non-visual mode, else the
   // active cube. The plan decided which persistent views serve it.
+  const bool visual = pc.has_value() && pc->mode() == EvalMode::kVisual;
   const Cube* eval_cube =
-      pc.has_value()
-          ? (pc->mode() == EvalMode::kVisual ? &pc->output() : &pc->input())
-          : active;
-
+      pc.has_value() ? (visual ? &pc->output() : &pc->input()) : active;
   // Batched cover-view evaluation: collect the grid's derived-cell masks,
   // materialize the covering subtotal views in one chunk pass, and serve
-  // cells from the smallest covering view, persistent or scratch.
-  std::optional<BatchCellEvaluator> batch;
+  // cells from the smallest covering view, persistent or scratch. A
+  // non-visual grid's refs naming a split-created instance or an
+  // introduced member read the output (PerspectiveCube::Route), through a
+  // batch prepared over them alone.
+  bool new_members = false;
+  for (const WhatIfSpec& s : bound->specs) {
+    new_members |= !visual && (!s.changes.empty() || !s.introductions.empty());
+  }
+  std::optional<BatchCellEvaluator> batch, new_member_batch;
   if (options.batched_eval) {
     TraceSpan prepare_span("query.batch_prepare");
     BatchEvalOptions batch_options = BatchOptionsFor(options, cancel, ctx);
@@ -433,13 +439,37 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     col_over.reserve(col_tuples.size());
     for (const BoundTuple& t : col_tuples) col_over.push_back(t.refs);
     batch->PrepareGrid(base, row_over, col_over);
+    if (new_members) {
+      std::vector<CellRef> refs;
+      for (const BoundTuple& row : row_tuples) {
+        for (const BoundTuple& col : col_tuples) {
+          CellRef ref = base;
+          for (const auto& [dim, r] : row.refs) ref[dim] = r;
+          for (const auto& [dim, r] : col.refs) ref[dim] = r;
+          if (pc->Route(ref, nullptr) == CellRouter::kOutput) {
+            refs.push_back(std::move(ref));
+          }
+        }
+      }
+      if (!refs.empty()) {
+        batch_options.out_of_core_disk = nullptr;  // It stores the input.
+        new_member_batch.emplace(pc->output(), nullptr, batch_options);
+        new_member_batch->PrepareRefs(refs);
+      }
+    }
     if (ctx != nullptr) {
       if (Status s = ctx->CheckInterrupted("query.batch_prepare"); !s.ok()) {
-        return s;  // PrepareGrid published no scratch on a cancelled pass.
+        return s;  // Prepare* published no scratch on a cancelled pass.
       }
     }
   }
   const BatchCellEvaluator* batch_ptr = batch.has_value() ? &*batch : nullptr;
+  const BatchCellEvaluator* new_member_ptr =
+      new_member_batch.has_value() ? &*new_member_batch : nullptr;
+  const CellEvaluator evaluator =
+      !pc.has_value() ? CellEvaluator(*active, rules, batch_ptr)
+      : visual        ? CellEvaluator(*pc, rules, batch_ptr)
+                      : CellEvaluator(*pc, rules, new_member_ptr, batch_ptr);
 
   auto evaluate_rows = [&](int row_begin, int row_end) {
     for (int r = row_begin; r < row_end; ++r) {
@@ -449,11 +479,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
       for (int c = 0; c < static_cast<int>(col_tuples.size()); ++c) {
         CellRef cell_ref = row_ref;
         for (const auto& [dim, ref] : col_tuples[c].refs) cell_ref[dim] = ref;
-        CellValue v = pc.has_value()
-                          ? pc->Evaluate(cell_ref, rules, batch_ptr)
-                          : CellEvaluator(*active, rules, batch_ptr)
-                                .Evaluate(cell_ref);
-        grid.set(r, c, v);
+        grid.set(r, c, evaluator.Evaluate(cell_ref));
       }
     }
   };
@@ -628,15 +654,9 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   // directly, which handles augmented refs.
   const Schema& schema = cube.schema();
   auto in_schema = [&](const BoundTuple& t) {
-    for (const auto& [dim, ref] : t.refs) {
-      const Dimension& d = schema.dimension(dim);
-      if (ref.member >= d.num_members() ||
-          (ref.instance != kInvalidInstance &&
-           ref.instance >= d.num_instances())) {
-        return false;
-      }
-    }
-    return true;
+    return std::all_of(t.refs.begin(), t.refs.end(), [&](const auto& r) {
+      return r.second.In(schema.dimension(r.first));
+    });
   };
   for (const BoundAxis& axis : ba->axes) {
     for (const BoundTuple& t : axis.tuples) {
@@ -858,8 +878,8 @@ Result<std::string> Executor::Explain(std::string_view mdx_text,
     Result<QueryPlan> b =
         PlanQuery(*db_, *parsed->compare_to, options, /*compare_side=*/true);
     if (!b.ok()) return b.status();
-    return "compare: delta grid (scenario A - scenario B), shared cover "
-           "views over common refs\n-- scenario A --\n" +
+    return "compare: delta grid (scenario A - scenario B), cover views "
+           "per cube the sides read\n-- scenario A --\n" +
            RenderPlan(*a, options) + "-- scenario B --\n" +
            RenderPlan(*b, options);
   }

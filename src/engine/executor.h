@@ -143,8 +143,9 @@ class Executor {
 
   // COMPARE <A> VERSUS <B>: binds both sides (same cube, identical bound
   // axes and slicer required), evaluates both scenario stacks through the
-  // scenario algebra with a shared batched evaluator, and returns the
-  // delta grid plus ScenarioComparison metrics.
+  // scenario algebra (CompareScenarios: one batched evaluator per cube the
+  // sides read), and returns the delta grid plus ScenarioComparison
+  // metrics.
   Result<QueryResult> ExecuteCompare(const mdx::ParsedQuery& parsed,
                                      const QueryOptions& options,
                                      QueryContext* ctx) const;

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "agg/batch_eval.h"
-#include "agg/rollup.h"
 #include "common/strings.h"
+#include "rules/evaluator.h"
 #include "whatif/operators.h"
 
 namespace olap::mdx {
@@ -35,8 +35,9 @@ Result<std::pair<int, MemberId>> FindGlobal(const Schema& schema,
 
 class Binder {
  public:
-  Binder(const Schema& schema, const NameResolver* resolver, const Cube* data)
-      : schema_(schema), resolver_(resolver), data_(data) {}
+  Binder(const Schema& schema, const NameResolver* resolver, const Cube* data,
+         const RuleSet* rules)
+      : schema_(schema), resolver_(resolver), data_(data), rules_(rules) {}
 
   Result<std::vector<BoundTuple>> BindSet(const SetExpr& expr) {
     switch (expr.kind) {
@@ -323,36 +324,13 @@ class Binder {
   // tuple's coordinates, the condition path's coordinate, and the root
   // everywhere else — satisfies the comparison. ⊥ never satisfies.
   Result<std::vector<BoundTuple>> BindFilter(const SetExpr& expr) {
-    if (data_ == nullptr) {
-      return Status::FailedPrecondition(
-          "Filter requires cube data at bind time");
-    }
     Result<std::vector<BoundTuple>> inner = BindSet(*expr.args[0]);
     if (!inner.ok()) return inner.status();
-    Result<std::pair<int, AxisRef>> condition = ResolvePathRef(expr.path);
-    if (!condition.ok()) return condition.status();
-
-    CellRef base(schema_.num_dimensions());
-    for (int d = 0; d < schema_.num_dimensions(); ++d) {
-      base[d] = AxisRef::OfMember(schema_.dimension(d).root());
-    }
-    // One batched pass: the candidate tuples usually share most of their
-    // roll-up scopes, so a handful of cover views answers the whole set.
-    std::vector<CellRef> refs;
-    refs.reserve(inner->size());
-    for (const BoundTuple& tuple : *inner) {
-      CellRef ref = base;
-      for (const auto& [dim, axis_ref] : tuple.refs) ref[dim] = axis_ref;
-      ref[condition->first] = condition->second;
-      refs.push_back(std::move(ref));
-    }
-    if (Status in_data = CheckRefsInData(refs); !in_data.ok()) return in_data;
-    BatchCellEvaluator batch(*data_, nullptr);
-    batch.PrepareRefs(refs);
+    Result<std::vector<CellValue>> keys = KeyValues(expr, *inner);
+    if (!keys.ok()) return keys.status();
     std::vector<BoundTuple> out;
     for (size_t i = 0; i < inner->size(); ++i) {
-      BoundTuple& tuple = (*inner)[i];
-      CellValue v = batch.Evaluate(refs[i]);
+      const CellValue v = (*keys)[i];
       if (v.is_null()) continue;
       bool pass = false;
       double value = v.value();
@@ -362,7 +340,7 @@ class Binder {
       if (expr.relop == "<=") pass = value <= expr.threshold;
       if (expr.relop == "=") pass = value == expr.threshold;
       if (expr.relop == "<>") pass = value != expr.threshold;
-      if (pass) out.push_back(std::move(tuple));
+      if (pass) out.push_back(std::move((*inner)[i]));
     }
     return out;
   }
@@ -371,34 +349,14 @@ class Binder {
   // at each tuple's coordinates (⊥ sorts after every number), stably, then
   // optionally keep the first n.
   Result<std::vector<BoundTuple>> BindOrdered(const SetExpr& expr) {
-    if (data_ == nullptr) {
-      return Status::FailedPrecondition(
-          "Order/TopCount/BottomCount require cube data at bind time");
-    }
     Result<std::vector<BoundTuple>> inner = BindSet(*expr.args[0]);
     if (!inner.ok()) return inner.status();
-    Result<std::pair<int, AxisRef>> condition = ResolvePathRef(expr.path);
-    if (!condition.ok()) return condition.status();
-
-    CellRef base(schema_.num_dimensions());
-    for (int d = 0; d < schema_.num_dimensions(); ++d) {
-      base[d] = AxisRef::OfMember(schema_.dimension(d).root());
-    }
-    std::vector<CellRef> refs;
-    refs.reserve(inner->size());
-    for (const BoundTuple& tuple : *inner) {
-      CellRef ref = base;
-      for (const auto& [dim, axis_ref] : tuple.refs) ref[dim] = axis_ref;
-      ref[condition->first] = condition->second;
-      refs.push_back(std::move(ref));
-    }
-    if (Status in_data = CheckRefsInData(refs); !in_data.ok()) return in_data;
-    BatchCellEvaluator batch(*data_, nullptr);
-    batch.PrepareRefs(refs);
+    Result<std::vector<CellValue>> keys = KeyValues(expr, *inner);
+    if (!keys.ok()) return keys.status();
     std::vector<std::pair<CellValue, BoundTuple>> keyed;
     keyed.reserve(inner->size());
     for (size_t i = 0; i < inner->size(); ++i) {
-      keyed.emplace_back(batch.Evaluate(refs[i]), std::move((*inner)[i]));
+      keyed.emplace_back((*keys)[i], std::move((*inner)[i]));
     }
     const bool descending = expr.kind == SetExpr::Kind::kTopCount ||
                             (expr.kind == SetExpr::Kind::kOrder &&
@@ -419,23 +377,46 @@ class Binder {
     return out;
   }
 
-  // Filter/Order evaluate against the *base* cube, which predates any
-  // INTRODUCE augmentation of the bind schema — a ref naming an introduced
-  // member has no data there and cannot drive a value predicate.
-  Status CheckRefsInData(const std::vector<CellRef>& refs) const {
-    const Schema& ds = data_->schema();
-    for (const CellRef& ref : refs) {
-      for (int d = 0; d < ds.num_dimensions(); ++d) {
-        const Dimension& dim = ds.dimension(d);
-        if (ref[d].member >= dim.num_members() ||
-            (ref[d].instance != kInvalidInstance &&
-             ref[d].instance >= dim.num_instances())) {
+  // The key of each tuple of a value-dependent set function: the cube's
+  // cell at the tuple's coordinates, the condition path's coordinate and
+  // the root everywhere else, evaluated rules first through one batched
+  // pass (the tuples usually share most of their roll-up scopes, so a
+  // handful of cover views answers the whole set).
+  Result<std::vector<CellValue>> KeyValues(
+      const SetExpr& expr, const std::vector<BoundTuple>& tuples) {
+    if (data_ == nullptr) {
+      return Status::FailedPrecondition(
+          "Filter/Order/TopCount/BottomCount require cube data at bind time");
+    }
+    Result<std::pair<int, AxisRef>> condition = ResolvePathRef(expr.path);
+    if (!condition.ok()) return condition.status();
+    CellRef base(schema_.num_dimensions());
+    for (int d = 0; d < schema_.num_dimensions(); ++d) {
+      base[d] = AxisRef::OfMember(schema_.dimension(d).root());
+    }
+    std::vector<CellRef> refs;
+    refs.reserve(tuples.size());
+    for (const BoundTuple& tuple : tuples) {
+      CellRef ref = base;
+      for (const auto& [dim, axis_ref] : tuple.refs) ref[dim] = axis_ref;
+      ref[condition->first] = condition->second;
+      // `data` predates any INTRODUCE augmentation of the bind schema: a
+      // ref naming an introduced member has no data there.
+      for (int d = 0; d < data_->num_dims(); ++d) {
+        if (!ref[d].In(data_->schema().dimension(d))) {
           return Status::FailedPrecondition(
               "Filter/Order/TopCount cannot reference introduced members");
         }
       }
+      refs.push_back(std::move(ref));
     }
-    return Status::Ok();
+    BatchCellEvaluator batch(*data_, nullptr);
+    batch.PrepareRefs(refs);
+    const CellEvaluator evaluator(*data_, rules_, &batch);
+    std::vector<CellValue> out;
+    out.reserve(refs.size());
+    for (const CellRef& ref : refs) out.push_back(evaluator.Evaluate(ref));
+    return out;
   }
 
   Result<std::vector<BoundTuple>> BindExceptIntersect(SetExpr::Kind kind,
@@ -479,6 +460,7 @@ class Binder {
   const Schema& schema_;
   const NameResolver* resolver_;
   const Cube* data_;
+  const RuleSet* rules_;
 };
 
 Result<Semantics> BindSemantics(const std::string& words) {
@@ -499,11 +481,12 @@ EvalMode BindMode(const std::string& word) {
 Result<std::vector<BoundTuple>> BindSet(const SetExpr& expr, const Schema& schema,
                                         const NameResolver* resolver,
                                         const Cube* data) {
-  return Binder(schema, resolver, data).BindSet(expr);
+  return Binder(schema, resolver, data, nullptr).BindSet(expr);
 }
 
 Result<BoundQuery> Bind(const ParsedQuery& query, const Schema& base_schema,
-                        const NameResolver* resolver, const Cube* data) {
+                        const NameResolver* resolver, const Cube* data,
+                        const RuleSet* rules) {
   BoundQuery out;
   out.cube_name = query.cube_name;
 
@@ -564,7 +547,7 @@ Result<BoundQuery> Bind(const ParsedQuery& query, const Schema& base_schema,
   }
   const Schema& schema = augmented.has_value() ? *augmented : base_schema;
 
-  Binder binder(schema, resolver, data);
+  Binder binder(schema, resolver, data, rules);
 
   for (const AxisSpec& axis : query.axes) {
     BoundAxis bound;

@@ -11,6 +11,7 @@
 #include "cube/cube.h"
 #include "dimension/schema.h"
 #include "mdx/ast.h"
+#include "rules/rule.h"
 #include "whatif/perspective_cube.h"
 
 namespace olap::mdx {
@@ -62,11 +63,14 @@ class NameResolver {
 
 // Resolves every name in `query` against `schema`. `resolver` may be null.
 // `data` (the cube being queried) is only needed when the query uses
-// value-dependent set functions (Filter); binding such a query without it
-// fails with FAILED_PRECONDITION.
+// value-dependent set functions (Filter, Order, TopCount, BottomCount);
+// binding such a query without it fails with FAILED_PRECONDITION. Their
+// keys are `data`'s cell values under `rules` (nullable: pure roll-up),
+// evaluated as a grid cell of a plain query is.
 Result<BoundQuery> Bind(const ParsedQuery& query, const Schema& schema,
                         const NameResolver* resolver = nullptr,
-                        const Cube* data = nullptr);
+                        const Cube* data = nullptr,
+                        const RuleSet* rules = nullptr);
 
 // Evaluates one set expression to tuples (exposed for tests).
 Result<std::vector<BoundTuple>> BindSet(const SetExpr& expr, const Schema& schema,

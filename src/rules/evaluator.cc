@@ -8,14 +8,18 @@ namespace olap {
 
 CellValue CellEvaluator::Evaluate(const CellRef& ref) const {
   std::vector<MemberId> measure_stack;
-  return EvaluateInternal(ref, &measure_stack);
+  return EvaluateInternal(/*target=*/-1, ref, &measure_stack);
 }
 
 CellValue CellEvaluator::EvaluateInternal(
-    const CellRef& ref, std::vector<MemberId>* measure_stack) const {
-  const Schema& schema = data_.schema();
-  int measure_dim = schema.MeasureDimension();
-  if (rules_ != nullptr && !rules_->empty() && measure_dim >= 0) {
+    int target, const CellRef& ref,
+    std::vector<MemberId>* measure_stack) const {
+  const Cube& cube = *cubes_[std::max(target, 0)];
+  const Schema& schema = cube.schema();
+  const int measure_dim = rules_ != nullptr && !rules_->empty()
+                              ? schema.MeasureDimension()
+                              : -1;
+  if (measure_dim >= 0) {
     MemberId measure = ref[measure_dim].member;
     const Rule* rule = rules_->Match(schema, measure_dim, measure, ref);
     if (rule != nullptr) {
@@ -25,22 +29,29 @@ CellValue CellEvaluator::EvaluateInternal(
           measure_stack->end()) {
         return CellValue::Null();
       }
+      if (target < 0) target = router_ ? router_->Route(ref, nullptr) : 0;
       measure_stack->push_back(measure);
       CellValue out = rule->formula->Evaluate([&](MemberId m) {
         CellRef operand = ref;
         operand[measure_dim] = AxisRef::OfMember(m);
-        return EvaluateInternal(operand, measure_stack);
+        return EvaluateInternal(target, operand, measure_stack);
       });
       measure_stack->pop_back();
       return out;
     }
   }
-  if (batch_ != nullptr) {
-    // Batched cover-view evaluation: leaf reads, view-served roll-ups, and
-    // residual scans — with its own cache accounting.
-    return batch_->Evaluate(ref);
+  // Reused per thread: nothing below re-enters the evaluator, and a leaf
+  // read then costs no allocation.
+  thread_local std::vector<int> leaf_coords;
+  const bool leaf = cube.IsLeafRef(ref, &leaf_coords);
+  if (target < 0) {
+    target = router_ ? router_->Route(ref, leaf ? &leaf_coords : nullptr) : 0;
   }
-  return EvaluateCell(data_, ref);  // Leaf read or default roll-up.
+  if (leaf) return cubes_[target]->GetCell(leaf_coords);
+  if (batches_[target] != nullptr) {
+    return batches_[target]->EvaluateDerived(ref);
+  }
+  return RollUpCell(*cubes_[target], ref);
 }
 
 }  // namespace olap

@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "rules/evaluator.h"
 
 namespace olap {
 
@@ -409,11 +408,9 @@ DestTable DestTable::Then(const DestTable& next) const {
   return out;
 }
 
-// Per-operator instrumentation (the paper's cube algebra: σ Select,
-// ρ Relocate, S Split, Φ Allocate, E Evaluate). Each operator application
-// opens one trace span and bumps one call counter; E is counted but not
-// spanned because it runs once per derived cell — a span there would blow
-// the <5% overhead budget (DESIGN.md §8).
+// Per-operator instrumentation (the paper's cube algebra: ρ Relocate,
+// S Split, I IntroduceMembers, Φ Allocate). Each operator application
+// opens one trace span and bumps one call counter (DESIGN.md §8).
 #define OLAP_OPERATOR_SCOPE(op_name)                                      \
   TraceSpan op_span("op." op_name);                                       \
   do {                                                                    \
@@ -422,78 +419,10 @@ DestTable DestTable::Then(const DestTable& next) const {
     op_calls->Increment();                                                \
   } while (0)
 
-Cube Select(const Cube& in, int dim, const std::function<bool(int)>& keep) {
-  OLAP_OPERATOR_SCOPE("select");
-  Cube out = in;
-  const int n_positions = in.schema().dimension(dim).num_positions();
-  for (int pos = 0; pos < n_positions; ++pos) {
-    if (!keep(pos)) out.ClearSlice(dim, pos);
-  }
-  return out;
-}
-
-std::vector<bool> KeepMemberEquals(const Cube& in, int dim, MemberId m) {
-  const Dimension& d = in.schema().dimension(dim);
-  std::vector<bool> keep(d.num_positions(), false);
-  for (int pos = 0; pos < d.num_positions(); ++pos) {
-    keep[pos] = d.PositionMember(pos) == m;
-  }
-  return keep;
-}
-
-std::vector<bool> KeepDescendantOf(const Cube& in, int dim, MemberId ancestor) {
-  const Dimension& d = in.schema().dimension(dim);
-  std::vector<bool> keep(d.num_positions(), false);
-  for (int pos : in.PositionsUnder(dim, AxisRef::OfMember(ancestor))) {
-    keep[pos] = true;
-  }
-  return keep;
-}
-
-std::vector<bool> KeepValidityOverlaps(const Cube& in, int dim,
-                                       const DynamicBitset& moments) {
-  const Dimension& d = in.schema().dimension(dim);
-  std::vector<bool> keep(d.num_positions(), true);
-  if (!d.is_varying()) return keep;  // Non-varying: implicitly always valid.
-  for (const MemberInstance& inst : d.instances()) {
-    keep[inst.id] = !inst.validity.DisjointWith(moments);
-  }
-  return keep;
-}
-
-std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
-                                    const std::function<bool(double)>& pred) {
-  std::vector<bool> keep(in.schema().dimension(dim).num_positions(), false);
-  int unmarked = static_cast<int>(keep.size());
-  const ChunkLayout& layout = in.layout();
-  const std::vector<int>& csize = layout.chunk_sizes();
-  // In-chunk stride of `dim` (row-major, last dimension fastest): walking
-  // the validity bitmap directly skips every ⊥ and padded cell, and only
-  // the one coordinate that matters is derived per set bit — no coords
-  // vector, no per-cell CellValue.
-  int64_t stride = 1;
-  for (int d = layout.num_dims() - 1; d > dim; --d) stride *= csize[d];
-  in.ForEachChunkWhile([&](ChunkId id, const Chunk& chunk) {
-    const int base = layout.ChunkBase(id)[dim];
-    const double* vals = chunk.ValuesSpan();
-    chunk.NullBits().ForEachSetBit([&](int off) {
-      if (unmarked == 0) return;  // Everything marked; skim the rest.
-      const int pos = base + static_cast<int>((off / stride) % csize[dim]);
-      if (pos >= static_cast<int>(keep.size()) || keep[pos]) return;
-      if (pred(vals[off])) {
-        keep[pos] = true;
-        --unmarked;
-      }
-    });
-    return unmarked > 0;  // Early-exit: stop scanning further chunks.
-  });
-  return keep;
-}
-
 Cube Relocate(const Cube& in, int varying_dim,
               const std::vector<DynamicBitset>& vs_out,
               const std::vector<MemberId>& scope_members,
-              bool copy_out_of_scope, int64_t* cells_moved, int threads,
+              int64_t* cells_moved, int threads,
               const CancellationToken& cancel, DestTable* applied) {
   OLAP_OPERATOR_SCOPE("relocate");
   const Dimension& d_in = in.schema().dimension(varying_dim);
@@ -534,12 +463,7 @@ Cube Relocate(const Cube& in, int varying_dim,
   for (int p = 0; p < d_in.num_positions(); ++p) {
     const MemberInstance& inst = d_in.instance(p);
     int32_t* row = table.dest.data() + static_cast<size_t>(p) * universe;
-    if (!in_scope[inst.member]) {  // Out of scope.
-      if (copy_out_of_scope) {
-        for (int t = 0; t < universe; ++t) row[t] = p;
-      }
-      continue;
-    }
+    if (!in_scope[inst.member]) continue;  // Out of scope: dropped.
     // Only data at the instance actually valid at t participates: that is
     // Cin(d_t, t, e) in Definition 4.4.
     const int32_t* src =
@@ -817,14 +741,6 @@ Result<Cube> Allocate(const Cube& in, const AllocationSpec& spec) {
     out.SetCell(dst_coords, target);
   }
   return out;
-}
-
-CellValue EvalOperator(const Cube& c1, const RuleSet* rules, const Cube& c2,
-                       const CellRef& ref) {
-  (void)c1;  // C1 contributes the rule definitions, passed in `rules`.
-  static Counter* op_calls = MetricsRegistry::Global().counter("op.evaluate.calls");
-  op_calls->Increment();
-  return CellEvaluator(c2, rules).Evaluate(ref);
 }
 
 }  // namespace olap

@@ -1,7 +1,6 @@
 #ifndef OLAP_WHATIF_OPERATORS_H_
 #define OLAP_WHATIF_OPERATORS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -9,35 +8,9 @@
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "cube/cube.h"
-#include "rules/rule.h"
 #include "whatif/perspective.h"
 
 namespace olap {
-
-// ---------------------------------------------------------------------------
-// Selection (Definition 4.1)
-// ---------------------------------------------------------------------------
-
-// σ_p: keeps only the axis positions of `dim` for which `keep(pos)` is true;
-// the sub-cubes of every other position are removed (cells set to ⊥).
-// The output schema is unchanged — non-kept positions are simply inactive.
-Cube Select(const Cube& in, int dim, const std::function<bool(int)>& keep);
-
-// Predicate helpers producing keep-sets (Sec. 4.1's example predicates).
-
-// Positions whose member equals `m` / is a descendant of `m`.
-std::vector<bool> KeepMemberEquals(const Cube& in, int dim, MemberId m);
-std::vector<bool> KeepDescendantOf(const Cube& in, int dim, MemberId ancestor);
-// D.VS ∩ moments ≠ ∅ — varying dimensions only; non-varying positions are
-// all kept (their validity is implicitly the full universe).
-std::vector<bool> KeepValidityOverlaps(const Cube& in, int dim,
-                                       const DynamicBitset& moments);
-// Value predicate σ_{D θ c}: keep positions of `dim` that have at least one
-// cell in the cube slice satisfying pred(value), e.g. sales > 1000 with the
-// other coordinates restricted beforehand via Select. Stops scanning as
-// soon as every position along `dim` is marked.
-std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
-                                    const std::function<bool(double)>& pred);
 
 // ---------------------------------------------------------------------------
 // Destination tables: where Relocate and Split send each leaf cell
@@ -80,9 +53,8 @@ struct DestTable {
 // `scope_members` optionally confines the data movement to instances of the
 // given members (the Sec. 6.3 optimisation: "the instance merge operation is
 // confined to query result sections with varying members"); cells of other
-// members are copied through unchanged when `copy_out_of_scope` is true and
-// omitted from the output when it is false (the caller then reads them from
-// the input cube — see PerspectiveCube). Empty scope = all members.
+// members are omitted from the output (the caller reads them from the input
+// cube — see PerspectiveCube). Empty scope = all members.
 // `cells_moved`, when non-null, receives the number of leaf cells written.
 //
 // Data movement is chunk-native: a position-indexed destination table is
@@ -101,8 +73,8 @@ struct DestTable {
 Cube Relocate(const Cube& in, int varying_dim,
               const std::vector<DynamicBitset>& vs_out,
               const std::vector<MemberId>& scope_members = {},
-              bool copy_out_of_scope = true, int64_t* cells_moved = nullptr,
-              int threads = 1, const CancellationToken& cancel = {},
+              int64_t* cells_moved = nullptr, int threads = 1,
+              const CancellationToken& cancel = {},
               DestTable* applied = nullptr);
 
 // ---------------------------------------------------------------------------
@@ -212,16 +184,6 @@ struct AllocationSpec {
 // coordinates unchanged). `from` and `to` must resolve to single leaf
 // positions of `dim`. The total over the cube is preserved.
 Result<Cube> Allocate(const Cube& in, const AllocationSpec& spec);
-
-// ---------------------------------------------------------------------------
-// Evaluate (Definition 4.6)
-// ---------------------------------------------------------------------------
-
-// E(C1, C2): the value of cell `ref`, taking leaf values from C2 and
-// evaluating C1's rules over C2's cells for derived cells. C1 and C2 must
-// share dimensionality. E(C, C) is ordinary evaluation of C.
-CellValue EvalOperator(const Cube& c1, const RuleSet* rules, const Cube& c2,
-                       const CellRef& ref);
 
 }  // namespace olap
 

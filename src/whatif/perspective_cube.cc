@@ -4,45 +4,24 @@
 #include <unordered_set>
 #include <utility>
 
-#include "rules/evaluator.h"
 #include "whatif/scenario_algebra.h"
 
 namespace olap {
 
-CellValue PerspectiveCube::Evaluate(const CellRef& ref, const RuleSet* rules,
-                                    const BatchCellEvaluator* batch) const {
-  // A prepared batch evaluator only applies to the branch evaluating the
-  // cube it was built over.
-  auto batch_for = [batch](const Cube& cube) -> const BatchCellEvaluator* {
-    return (batch != nullptr && &batch->data() == &cube) ? batch : nullptr;
-  };
-  const Cube& output = this->output();
-  std::vector<int> leaf_coords;
-  if (output.IsLeafRef(ref, &leaf_coords)) {
-    if (varying_dim_ >= 0 && !scoped_members_.empty()) {
-      MemberId m =
-          output.schema().dimension(varying_dim_).PositionMember(leaf_coords[varying_dim_]);
-      if (!InScope(m)) return input_->GetCell(leaf_coords);
-    }
-    return output.GetCell(leaf_coords);
+CellRouter::Target PerspectiveCube::Route(
+    const CellRef& ref, const std::vector<int>* leaf_coords) const {
+  if (leaf_coords != nullptr) {
+    if (scoped_members_.empty()) return kOutput;
+    const MemberId m = output().schema().dimension(varying_dim_).PositionMember(
+        (*leaf_coords)[varying_dim_]);
+    return scoped_members_.count(m) > 0 ? kOutput : kInput;
   }
-  if (mode_ == EvalMode::kVisual) {
-    return CellEvaluator(output, rules, batch_for(output)).Evaluate(ref);
+  if (mode_ == EvalMode::kVisual) return kOutput;
+  const Schema& in = input_->schema();
+  for (int d = 0; d < in.num_dimensions(); ++d) {
+    if (!ref[d].In(in.dimension(d))) return kOutput;
   }
-  // Non-visual: derived values are retained from the input cube. Refs that
-  // pin instances created by a Split, or that name members introduced into
-  // the output schema, do not exist in the input; evaluate those on the
-  // output instead.
-  if (varying_dim_ >= 0) {
-    const Dimension& d_in = input_->schema().dimension(varying_dim_);
-    const AxisRef& r = ref[varying_dim_];
-    if ((r.instance != kInvalidInstance &&
-         r.instance >= d_in.num_instances()) ||
-        r.member >= d_in.num_members()) {
-      return CellEvaluator(output, rules).Evaluate(ref);
-    }
-  }
-  return CellEvaluator(*input_, rules, batch_for(*input_)).Evaluate(ref);
+  return kInput;
 }
 
 Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,

@@ -6,11 +6,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "agg/batch_eval.h"
 #include "common/cancellation.h"
 #include "common/status.h"
 #include "cube/cube.h"
-#include "rules/rule.h"
+#include "rules/evaluator.h"
 #include "storage/simulated_disk.h"
 #include "whatif/merge_graph.h"
 #include "whatif/operators.h"
@@ -69,8 +68,9 @@ struct EvalStats {
   int peak_merge_chunks = 0;
 };
 
-// The result of a what-if query: the transformed cube plus everything
-// needed to evaluate derived cells under the requested mode.
+// The result of a what-if query: the transformed cube, and the router
+// that names the cube each of its cells is evaluated on (CellEvaluator,
+// rules/evaluator.h, evaluates them).
 //
 // The input cube must outlive this object (non-visual evaluation and
 // out-of-scope leaf reads go to it). The object owns an output cube only
@@ -79,8 +79,8 @@ struct EvalStats {
 //
 // When the computation was scoped to a member set (non-visual mode only),
 // the output cube holds only the scoped members' relocated cells; leaf
-// reads of other members transparently fall back to the input cube.
-class PerspectiveCube {
+// reads of other members go to the input cube.
+class PerspectiveCube final : public CellRouter {
  public:
   PerspectiveCube(const Cube* input, std::optional<Cube> output, EvalMode mode,
                   int varying_dim = -1,
@@ -91,33 +91,27 @@ class PerspectiveCube {
         varying_dim_(varying_dim),
         scoped_members_(scoped_members.begin(), scoped_members.end()) {}
 
-  const Cube& input() const { return *input_; }
-  const Cube& output() const {
+  const Cube& input() const override { return *input_; }
+  const Cube& output() const override {
     return output_.has_value() ? *output_ : *input_;
   }
-  // For delta refresh: rewrite output cells in place. Null when no op ran
-  // (output() is then the input).
+  // False when no op ran: output() is then the input.
+  bool has_output() const { return output_.has_value(); }
+  // For delta refresh: rewrite output cells in place. Null when no op ran.
   Cube* mutable_output() { return output_.has_value() ? &*output_ : nullptr; }
   EvalMode mode() const { return mode_; }
 
-  // Cell value under the query's evaluation mode:
-  //  * leaf cells come from the transformed output cube (or the input cube
-  //    for members outside a scoped computation);
-  //  * derived cells are evaluated on the output cube (visual) or retained
-  //    from the input cube (non-visual).
-  // `rules` may be null (pure roll-up).
-  // `batch` (nullable) is a prepared batched evaluator; it is used only for
-  // the branch whose evaluation cube matches batch->data() (the output cube
-  // in visual mode, the input cube otherwise) — other branches keep the
-  // per-cell path.
-  CellValue Evaluate(const CellRef& ref, const RuleSet* rules = nullptr,
-                     const BatchCellEvaluator* batch = nullptr) const;
+  // The routing table (Sec. 3.3, 6.3):
+  //  * a leaf ref that no rule defines reads the output, or the input
+  //    when its varying member is outside the computation's scope;
+  //  * any other ref is evaluated on the output in VISUAL mode and on the
+  //    input in non-visual mode, which retains the input's derived
+  //    values, except that a ref naming an instance a Split created or a
+  //    member INTRODUCE added (which the input lacks) uses the output.
+  Target Route(const CellRef& ref,
+               const std::vector<int>* leaf_coords) const override;
 
  private:
-  bool InScope(MemberId m) const {
-    return scoped_members_.empty() || scoped_members_.count(m) > 0;
-  }
-
   const Cube* input_;
   std::optional<Cube> output_;
   EvalMode mode_;

@@ -10,6 +10,7 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "rules/evaluator.h"
 #include "whatif/merge_graph.h"
 #include "whatif/pebbling.h"
 
@@ -53,22 +54,6 @@ CubeOptions OptionsOf(const Cube& in) {
   return opts;
 }
 
-// Members whose instances an op touches: the scope, else every member
-// with at least one instance.
-std::vector<MemberId> EffectiveScope(const Dimension& dim,
-                                     const std::vector<MemberId>& scope) {
-  if (!scope.empty()) return scope;
-  std::vector<MemberId> all;
-  std::vector<bool> seen(dim.num_members(), false);
-  for (const MemberInstance& inst : dim.instances()) {
-    if (!seen[inst.member]) {
-      seen[inst.member] = true;
-      all.push_back(inst.member);
-    }
-  }
-  return all;
-}
-
 Gauge* PeakMergeChunksGauge() {
   static Gauge* g = MetricsRegistry::Global().gauge("whatif.peak_merge_chunks");
   return g;
@@ -104,7 +89,8 @@ void ChargeScan(const Cube& cube, int varying_dim,
 // survive into the output (non-empty vs_out) and (b) the source instances
 // their values are copied from need to be touched — this is why the
 // paper's static query time grows with the number of perspectives (more
-// surviving instances to retrieve and merge, Sec. 6.1).
+// surviving instances to retrieve and merge, Sec. 6.1). An empty `scope`
+// charges every member's instances.
 void ChargeRelocationScan(const Cube& cube, int varying_dim,
                           const std::vector<DynamicBitset>& vs_out,
                           const std::vector<MemberId>& scope,
@@ -285,7 +271,6 @@ Result<Cube> MultipleMdxPerspective(const Cube& src, const ScenarioSpec& spec,
   const int vd = spec.varying_dim;
   const Dimension& dim = src.schema().dimension(vd);
   const int universe = dim.parameter_leaf_count();
-  const bool scoped = !relocate_scope.empty();
   const int param_dim = src.schema().parameter_of(vd);
   std::vector<Cube> runs;
   std::vector<std::vector<DynamicBitset>> run_vs;
@@ -297,8 +282,7 @@ Result<Cube> MultipleMdxPerspective(const Cube& src, const ScenarioSpec& spec,
         TransformValiditySets(dim, single, op.semantics);
     ChargeRelocationScan(src, vd, vs, scan_scope, spec.pebbling_read_order,
                          opts.disk, stats, opts.pipelined_io);
-    runs.push_back(Relocate(src, vd, vs, relocate_scope,
-                            /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
+    runs.push_back(Relocate(src, vd, vs, relocate_scope, &stats->cells_moved,
                             opts.eval_threads, opts.cancel));
     run_vs.push_back(std::move(vs));
   }
@@ -382,20 +366,18 @@ Result<Cube> ApplyOp(const Cube& src, const ScenarioSpec& spec,
       return Status::OutOfRange("perspective moment out of range");
     }
   }
-  const std::vector<MemberId> scan_scope = EffectiveScope(dim, scope);
   const std::vector<MemberId> relocate_scope =
       scoped ? scope : std::vector<MemberId>{};
   if (opts.strategy == EvalStrategy::kMultipleMdx) {
-    return MultipleMdxPerspective(src, spec, op, scan_scope, relocate_scope,
-                                  opts, stats);
+    return MultipleMdxPerspective(src, spec, op, scope, relocate_scope, opts,
+                                  stats);
   }
   // One pass: transform every validity set, then move the data.
   std::vector<DynamicBitset> vs_out = TransformValiditySets(
       dim, op.perspectives, op.semantics, relocate_scope);
-  ChargeRelocationScan(src, vd, vs_out, scan_scope, spec.pebbling_read_order,
+  ChargeRelocationScan(src, vd, vs_out, scope, spec.pebbling_read_order,
                        opts.disk, stats, opts.pipelined_io);
-  return Relocate(src, vd, vs_out, relocate_scope,
-                  /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
+  return Relocate(src, vd, vs_out, relocate_scope, &stats->cells_moved,
                   opts.eval_threads, opts.cancel, applied);
 }
 
@@ -558,23 +540,49 @@ Result<ScenarioComparison> CompareScenarios(
     AccumulateStats(opts.eval.stats, stats_b);
   }
 
-  // Cross-scenario view sharing: when both scenarios retain derived values
-  // from the same input cube (non-visual), one batched evaluator prepared
-  // over the common ref set serves both sides — the shared cover views are
-  // materialized once instead of per scenario.
-  std::optional<BatchCellEvaluator> shared;
-  const BatchCellEvaluator* batch = nullptr;
-  if (opts.batched_eval && !refs.empty() &&
-      pa->mode() == EvalMode::kNonVisual &&
-      pb->mode() == EvalMode::kNonVisual) {
+  // One batch per cube the sides' derived refs read (PerspectiveCube::Route):
+  // `in` for a non-visual side or one with no op, else the side's own
+  // output. Sides reading `in` share its batch, prepared once over the refs
+  // either side sends there.
+  const PerspectiveCube* sides[2] = {&*pa, &*pb};
+  auto cube_of = [&](int side, const CellRef& ref) {  // 0: in; 1 + side.
+    const PerspectiveCube& pc = *sides[side];
+    return pc.has_output() && pc.Route(ref, nullptr) == CellRouter::kOutput
+               ? 1 + side
+               : 0;
+  };
+  std::optional<BatchCellEvaluator> batches[3];
+  if (opts.batched_eval) {
+    std::vector<CellRef> served[3];
+    bool reads_in[2] = {false, false};
+    for (const CellRef& ref : refs) {
+      const int ca = cube_of(0, ref), cb = cube_of(1, ref);
+      reads_in[0] |= ca == 0;
+      reads_in[1] |= cb == 0;
+      served[ca].push_back(ref);
+      if (cb != ca) served[cb].push_back(ref);
+    }
     BatchEvalOptions batch_options = opts.batch;
     batch_options.cancel = cancel;
-    shared.emplace(in, nullptr, batch_options);
-    shared->PrepareRefs(refs);
-    if (Status s = cancel.Poll("scenario.compare"); !s.ok()) return fail(s);
-    batch = &*shared;
-    cm.shared_views->Increment(shared->num_scratch_views());
+    for (int c = 0; c < 3; ++c) {
+      if (served[c].empty()) continue;
+      batches[c].emplace(c == 0 ? in : sides[c - 1]->output(), nullptr,
+                         batch_options);
+      batches[c]->PrepareRefs(served[c]);
+      if (Status s = cancel.Poll("scenario.compare"); !s.ok()) return fail(s);
+    }
+    if (reads_in[0] && reads_in[1]) {
+      cm.shared_views->Increment(batches[0]->num_scratch_views());
+    }
   }
+  auto evaluator_for = [&](int side) {
+    auto batch = [&](int c) { return batches[c] ? &*batches[c] : nullptr; };
+    return CellEvaluator(*sides[side], rules,
+                         batch(sides[side]->has_output() ? 1 + side : 0),
+                         batch(0));
+  };
+  const CellEvaluator eval_a = evaluator_for(0);
+  const CellEvaluator eval_b = evaluator_for(1);
 
   ScenarioComparison cmp;
   cmp.cells_compared = static_cast<int64_t>(refs.size());
@@ -583,8 +591,8 @@ Result<ScenarioComparison> CompareScenarios(
   double l2_sq = 0.0;
   for (const CellRef& ref : refs) {
     if (Status s = cancel.Poll("scenario.compare"); !s.ok()) return fail(s);
-    const CellValue va = pa->Evaluate(ref, rules, batch);
-    const CellValue vb = pb->Evaluate(ref, rules, batch);
+    const CellValue va = eval_a.Evaluate(ref);
+    const CellValue vb = eval_b.Evaluate(ref);
     cmp.values_a.push_back(va);
     cmp.values_b.push_back(vb);
     const bool act_a = va.has_value();

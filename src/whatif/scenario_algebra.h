@@ -26,9 +26,9 @@ namespace olap {
 // scenario — an MDX clause, a composed stack, a COMPARE side, a live
 // scenario — runs through one op loop: each op transforms the previous
 // op's output. It also closes the algebra under *comparison*: containment /
-// overlap / distance between two scenarios' result cubes, evaluated
-// cell-by-cell over a common ref set so shared cover views are computed
-// once.
+// overlap / distance between two scenarios' result cubes, evaluated over a
+// common ref set with one batched evaluator per cube the sides read, so
+// cover views shared by both sides are computed once.
 
 // One step of a scenario pipeline. Exactly one payload is meaningful,
 // selected by `kind`.
@@ -140,9 +140,11 @@ struct ScenarioComparison {
 
 struct ScenarioCompareOptions {
   ScenarioEvalOptions eval;
-  // Serve derived cells of non-visual scenarios through one shared batched
-  // evaluator prepared over the common ref set (cover views computed once
-  // for both sides). scenario.compare.shared_views counts the views shared.
+  // Serve derived cells through one batched evaluator per cube the sides
+  // read (PerspectiveCube::Route), prepared over the refs routed there;
+  // two sides reading the stored cube share one, and
+  // scenario.compare.shared_views counts its views. Off = the per-cell
+  // oracle.
   bool batched_eval = true;
   BatchEvalOptions batch;  // Governor hooks etc.; cancel comes from `eval`.
 };

@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "agg/batch_eval.h"
-#include "agg/rollup.h"
 #include "common/metrics.h"
 #include "engine/executor.h"
 #include "rules/evaluator.h"
+#include "support/naive_aggregator.h"
 #include "workload/paper_example.h"
 #include "workload/workforce.h"
 

@@ -17,8 +17,8 @@
 
 #include "agg/aggregate_cache.h"
 #include "agg/batch_eval.h"
-#include "agg/rollup.h"
 #include "common/rng.h"
+#include "support/naive_aggregator.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
 #include "whatif/perspective_cube.h"
@@ -155,8 +155,8 @@ std::vector<CellRef> RandomRefs(const Cube& cube, Rng* rng, int count) {
       ref.push_back(RandomAxisRef(cube, dim, rng));
     }
     refs.push_back(std::move(ref));
-    // Duplicate some refs so masks reach min_refs_per_view and views get
-    // planned (a grid would share masks naturally).
+    // Duplicate some refs so masks reach the planner's two-ref minimum and
+    // views get planned (a grid would share masks naturally).
     if (rng->NextBool(0.3)) refs.push_back(refs.back());
   }
   return refs;
@@ -172,7 +172,6 @@ void ExpectBatchMatchesOracle(const Cube& cube, const AggregateCache* cache,
   for (int threads : kThreadCounts) {
     BatchEvalOptions options;
     options.threads = threads;
-    options.min_refs_per_view = 1;  // Plan aggressively: exercise views.
     BatchCellEvaluator batch(cube, cache, options);
     batch.PrepareRefs(refs);
     for (size_t i = 0; i < refs.size(); ++i) {

@@ -11,10 +11,10 @@
 
 #include "agg/aggregate_cache.h"
 #include "agg/batch_eval.h"
-#include "agg/rollup.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "storage/simulated_disk.h"
+#include "support/naive_aggregator.h"
 #include "workload/paper_example.h"
 
 namespace olap {

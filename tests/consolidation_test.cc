@@ -8,8 +8,8 @@
 
 #include "agg/aggregate_cache.h"
 #include "agg/batch_eval.h"
-#include "agg/rollup.h"
 #include "storage/cube_io.h"
+#include "support/naive_aggregator.h"
 
 namespace olap {
 namespace {

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "agg/rollup.h"
 #include "common/rng.h"
+#include "support/naive_aggregator.h"
 #include "workload/paper_example.h"
 #include "workload/workforce.h"
 

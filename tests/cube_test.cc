@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/operator_oracles.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -147,7 +148,7 @@ TEST(CubeTest, ClearSlice) {
   // Clear Lisa's slice (position = her single instance id).
   InstanceId lisa_inst =
       cube.schema().dimension(ex.org_dim).InstancesOf(ex.lisa)[0];
-  cube.ClearSlice(ex.org_dim, lisa_inst);
+  ClearSlice(&cube, ex.org_dim, lisa_inst);
   EXPECT_EQ(cube.CountNonNullCells(), before - 6);  // Lisa had 6 months.
   EXPECT_TRUE(cube.GetByName({"Lisa", "NY", "Jan", "Salary"})->is_null());
   // Other members untouched.

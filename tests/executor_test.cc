@@ -6,6 +6,7 @@
 #include <cstdint>
 
 #include "common/metrics.h"
+#include "support/financial_cube.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -262,6 +263,86 @@ TEST_F(ExecutorTest, PerCellEvaluationIsALeafRollupOracle) {
       }
     }
   }
+}
+
+// A leaf cell that a rule defines (Margin% = Margin / COGS * 100, over the
+// East override of Margin) evaluates its rule under a what-if as in the
+// plain query. The perspective {Jan} leaves every single-instance product
+// as it is, so each grid cell must equal the plain query's, in either mode,
+// batched or per-cell.
+TEST_F(ExecutorTest, LeafRuleCellsUnderAnIdentityPerspectiveMatchThePlainQuery) {
+  Database db;
+  ASSERT_TRUE(db.AddCube("Sales", BuildFinancialCube()).ok());
+  ASSERT_TRUE(
+      db.AddRule("Sales", "FOR Market = East, Margin = 0.93 * Sales - COGS")
+          .ok());
+  ASSERT_TRUE(db.AddRule("Sales", "[Margin%] = Margin / COGS * 100").ok());
+  Executor exec(&db);
+  const std::string select =
+      "SELECT {CrossJoin({[Measures].[Margin%]}, {[Time].[Jan], [Time].[Feb]})}"
+      " ON COLUMNS, {CrossJoin({[TV], [Radio], [Amp]}, {[NY], [CA]})} ON ROWS "
+      "FROM Sales";
+  Result<QueryResult> plain = exec.Execute(select);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_EQ(plain->grid.num_rows(), 6);
+  ASSERT_EQ(plain->grid.num_columns(), 2);
+  EXPECT_EQ(plain->grid.at(0, 0), CellValue((0.93 * 100 - 60) / 60 * 100));
+  EXPECT_EQ(plain->grid.at(1, 0), CellValue(40.0 / 60 * 100));
+  for (const char* mode : {"", " VISUAL"}) {
+    for (bool batched : {true, false}) {
+      QueryOptions options;
+      options.batched_eval = batched;
+      Result<QueryResult> whatif = exec.Execute(
+          std::string("WITH PERSPECTIVE {(Jan)} FOR Product STATIC") + mode +
+              " " + select,
+          options);
+      ASSERT_TRUE(whatif.ok()) << whatif.status().ToString();
+      ASSERT_EQ(whatif->grid.num_rows(), plain->grid.num_rows());
+      ASSERT_EQ(whatif->grid.num_columns(), plain->grid.num_columns());
+      for (int r = 0; r < plain->grid.num_rows(); ++r) {
+        for (int c = 0; c < plain->grid.num_columns(); ++c) {
+          const CellValue want = plain->grid.at(r, c);
+          const CellValue got = whatif->grid.at(r, c);
+          ASSERT_FALSE(got.is_null())
+              << "mode '" << mode << "' batched " << batched << " cell " << r
+              << "," << c;
+          EXPECT_EQ(std::bit_cast<uint64_t>(want.value()),
+                    std::bit_cast<uint64_t>(got.value()))
+              << "mode '" << mode << "' batched " << batched << " cell " << r
+              << "," << c;
+        }
+      }
+    }
+  }
+}
+
+// A non-visual query reads a derived cell that names an introduced member
+// from the what-if output, which the stored input lacks, through a batch
+// prepared over those refs: two plans (input and output), and values equal
+// to the per-cell oracle's.
+TEST_F(ExecutorTest, NonVisualRefsNamingNewMembersReadTheOutputThroughABatch) {
+  const char* query =
+      "WITH INTRODUCE {([Consulting], [Organization]), "
+      "([Ann], [Consulting], [Mar], CLONE [Lisa] 1.0)} FOR Organization "
+      "SELECT {Time.[Feb], Time.[Mar]} ON COLUMNS, {[Consulting], [FTE]} "
+      "ON ROWS FROM Warehouse WHERE ([NY], [Salary])";
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+  const QueryResult batched = MustExecute(query);
+  MetricsRegistry::Snapshot delta =
+      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+  EXPECT_EQ(delta.counter_value("agg.batch.plans"), 2);
+  QueryOptions per_cell;
+  per_cell.batched_eval = false;
+  const QueryResult oracle = MustExecute(query, per_cell);
+  ASSERT_EQ(batched.grid.num_rows(), 2);
+  ASSERT_EQ(oracle.grid.num_rows(), 2);
+  for (int r = 0; r < 2; ++r) {
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(batched.grid.at(r, c), oracle.grid.at(r, c)) << r << "," << c;
+    }
+  }
+  EXPECT_EQ(batched.grid.at(0, 1), CellValue(10.0));  // Ann's cloned Mar.
 }
 
 TEST_F(ExecutorTest, GridToStringRendersTable) {

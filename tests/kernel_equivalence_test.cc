@@ -172,11 +172,11 @@ TEST(KernelEquivalenceTest, RelocateMatchesReferenceAtEveryThreadCount) {
     const Cube serial = Relocate(world.cube, world.org_dim, vs_out);
     int64_t ref_moved = 0;
     Cube ref = RelocateReference(world.cube, serial.schema(), world.org_dim,
-                                 vs_out, {}, true, &ref_moved);
+                                 vs_out, {}, &ref_moved);
     for (int threads : kThreadCounts) {
       int64_t moved = 0;
-      Cube got = Relocate(world.cube, world.org_dim, vs_out, {}, true, &moved,
-                          threads);
+      Cube got =
+          Relocate(world.cube, world.org_dim, vs_out, {}, &moved, threads);
       EXPECT_EQ(ref_moved, moved) << "seed " << seed;
       ExpectBitIdentical(ref, got, world.org_dim,
                          "seed " + std::to_string(seed) + " threads " +
@@ -199,24 +199,18 @@ TEST(KernelEquivalenceTest, ScopedRelocateMatchesReference) {
     }
     if (scope.empty()) scope.push_back(world.members[0]);
 
-    for (bool copy_out_of_scope : {true, false}) {
-      const Cube serial = Relocate(world.cube, world.org_dim, vs_out, scope,
-                                   copy_out_of_scope);
-      int64_t ref_moved = 0;
-      Cube ref = RelocateReference(world.cube, serial.schema(), world.org_dim,
-                                   vs_out, scope, copy_out_of_scope,
-                                   &ref_moved);
-      for (int threads : kThreadCounts) {
-        int64_t moved = 0;
-        Cube got = Relocate(world.cube, world.org_dim, vs_out, scope,
-                            copy_out_of_scope, &moved, threads);
-        EXPECT_EQ(ref_moved, moved) << "seed " << seed;
-        ExpectBitIdentical(
-            ref, got, world.org_dim,
-            "seed " + std::to_string(seed) + " copy_out_of_scope " +
-                std::to_string(copy_out_of_scope) + " threads " +
-                std::to_string(threads));
-      }
+    const Cube serial = Relocate(world.cube, world.org_dim, vs_out, scope);
+    int64_t ref_moved = 0;
+    Cube ref = RelocateReference(world.cube, serial.schema(), world.org_dim,
+                                 vs_out, scope, &ref_moved);
+    for (int threads : kThreadCounts) {
+      int64_t moved = 0;
+      Cube got =
+          Relocate(world.cube, world.org_dim, vs_out, scope, &moved, threads);
+      EXPECT_EQ(ref_moved, moved) << "seed " << seed;
+      ExpectBitIdentical(ref, got, world.org_dim,
+                         "seed " + std::to_string(seed) + " threads " +
+                             std::to_string(threads));
     }
   }
 }

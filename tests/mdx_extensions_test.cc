@@ -1,10 +1,16 @@
 // NON EMPTY axes and the Tail/Except/Intersect set functions.
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "engine/executor.h"
 #include "mdx/binder.h"
 #include "mdx/parser.h"
+#include "support/financial_cube.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -218,6 +224,54 @@ TEST_F(MdxExtensionsTest, TopAndBottomCount) {
   // FTE and PTE tie at 70; stable order keeps FTE first.
   EXPECT_EQ(r.grid.row_labels()[0], "FTE");
   EXPECT_EQ(r.grid.row_labels()[1], "PTE");
+}
+
+// Filter, Order and TopCount key on a rule's values like the grid does.
+// Margin% is defined only by its rule; over every market and month it is
+// 66.7 for TV, 400 for Radio and 11.1 for Amp, an order unlike the set's.
+TEST_F(MdxExtensionsTest, ValueFunctionsKeyOnRuleDerivedCells) {
+  ASSERT_TRUE(db_.AddCube("Sales", BuildFinancialCube(60, 20, 90)).ok());
+  ASSERT_TRUE(db_.AddRule("Sales", "[Margin%] = Margin / COGS * 100").ok());
+  auto grid_of = [&](const std::string& set) {
+    return MustExecute("SELECT {[Measures].[Margin%]} ON COLUMNS, {" + set +
+                       "} ON ROWS FROM Sales")
+        .grid;
+  };
+  // The grid's Margin% per product row, in the set's order.
+  const ResultGrid grid = grid_of("[TV], [Radio], [Amp]");
+  ASSERT_EQ(grid.num_rows(), 3);
+  std::vector<std::string> rows = grid.row_labels();
+  std::map<std::string, double> margin;
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_FALSE(grid.at(r, 0).is_null()) << rows[r];
+    margin[rows[r]] = grid.at(r, 0).value();
+  }
+  EXPECT_EQ(margin[rows[1]], 640.0 / 160 * 100);  // Radio.
+  // Filter keeps the products whose grid value passes.
+  std::vector<std::string> expected;
+  for (const std::string& row : rows) {
+    if (margin[row] > 50) expected.push_back(row);
+  }
+  EXPECT_EQ(expected.size(), 2u);
+  EXPECT_EQ(
+      grid_of("Filter({[TV], [Radio], [Amp]}, [Measures].[Margin%] > 50)")
+          .row_labels(),
+      expected);
+  // Order and TopCount rank by the grid values: Radio, TV, Amp.
+  expected = rows;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](const std::string& a, const std::string& b) {
+                     return margin[a] > margin[b];
+                   });
+  EXPECT_EQ(expected, (std::vector<std::string>{rows[1], rows[0], rows[2]}));
+  EXPECT_EQ(
+      grid_of("Order({[TV], [Radio], [Amp]}, [Measures].[Margin%], DESC)")
+          .row_labels(),
+      expected);
+  EXPECT_EQ(
+      grid_of("TopCount({[TV], [Radio], [Amp]}, 1, [Measures].[Margin%])")
+          .row_labels(),
+      std::vector<std::string>{expected.front()});
 }
 
 TEST_F(MdxExtensionsTest, FilterWithoutDataFails) {

@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "agg/rollup.h"
 #include "engine/executor.h"
+#include "support/naive_aggregator.h"
 #include "workload/extended_examples.h"
 
 namespace olap {
@@ -92,6 +92,30 @@ TEST_F(MultiVaryingTest, PipelineStatsAccumulate) {
       "SELECT {Time.[Jan]} ON COLUMNS FROM Biz WHERE ([Revenue])");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->whatif_stats.passes, 2);  // One per stage.
+}
+
+// In a composed non-visual stack, a derived ref that names an INTRODUCE'd
+// member reads the output, which alone holds the member: its row equals
+// the VISUAL stack's.
+TEST_F(MultiVaryingTest, ComposedNonVisualStackReadsIntroducedMembersOnItsOutput) {
+  auto consulting_row = [&](const std::string& mode) {
+    QueryResult r = MustExecute(
+        "WITH INTRODUCE {([Consulting], [Organization]), "
+        "([Ann], [Consulting], [Feb], CLONE [Joe] 1.0)} FOR Organization" +
+        mode + " PERSPECTIVE {(Jan)} FOR Product STATIC" + mode +
+        " SELECT {Time.[Jan], Time.[Feb]} ON COLUMNS, {[Consulting]} ON ROWS "
+        "FROM Biz WHERE ([Revenue])");
+    EXPECT_EQ(r.grid.num_rows(), 1);
+    return r.grid.num_rows() == 1
+               ? std::vector<CellValue>{r.grid.at(0, 0), r.grid.at(0, 1)}
+               : std::vector<CellValue>{};
+  };
+  const std::vector<CellValue> non_visual = consulting_row("");
+  const std::vector<CellValue> visual = consulting_row(" VISUAL");
+  ASSERT_EQ(non_visual.size(), 2u);
+  EXPECT_TRUE(non_visual[0].is_null());  // Before Ann's epoch.
+  EXPECT_FALSE(non_visual[1].is_null());
+  EXPECT_EQ(non_visual, visual);
 }
 
 TEST_F(MultiVaryingTest, DuplicatePerspectiveClauseRejected) {

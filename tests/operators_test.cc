@@ -4,6 +4,7 @@
 
 #include "agg/rollup.h"
 #include "rules/evaluator.h"
+#include "support/operator_oracles.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -93,7 +94,7 @@ TEST_F(OperatorsTest, RelocateMovesCellsAcrossInstances) {
   std::vector<DynamicBitset> vs =
       TransformValiditySets(org, Perspectives({1, 3}), Semantics::kForward);
   int64_t moved = 0;
-  Cube out = Relocate(ex_.cube, ex_.org_dim, vs, {}, true, &moved);
+  Cube out = Relocate(ex_.cube, ex_.org_dim, vs, {}, &moved);
   EXPECT_EQ(Get(out, {"PTE/Joe", "NY", "Feb", "Salary"}), CellValue(10.0));
   EXPECT_EQ(Get(out, {"PTE/Joe", "NY", "Mar", "Salary"}), CellValue(30.0));
   // "(PTE/Joe, Jan) remains ⊥ since PTE/Joe was not valid in Jan".
@@ -113,15 +114,11 @@ TEST_F(OperatorsTest, RelocateScopeRestrictsMovement) {
   const Dimension& org = ex_.cube.schema().dimension(ex_.org_dim);
   std::vector<DynamicBitset> vs =
       TransformValiditySets(org, Perspectives({1, 3}), Semantics::kForward);
-  // Scope = {Lisa}: Joe's data passes through untouched.
-  Cube out = Relocate(ex_.cube, ex_.org_dim, vs, {ex_.lisa});
-  EXPECT_EQ(Get(out, {"FTE/Joe", "NY", "Jan", "Salary"}), CellValue(10.0));
-  EXPECT_TRUE(Get(out, {"PTE/Joe", "NY", "Mar", "Salary"}).is_null());
-  EXPECT_EQ(Get(out, {"Lisa", "NY", "Feb", "Salary"}), CellValue(10.0));
-  // Without copy_out_of_scope, Joe's cells are absent.
-  Cube scoped = Relocate(ex_.cube, ex_.org_dim, vs, {ex_.lisa},
-                         /*copy_out_of_scope=*/false);
+  // Scope = {Lisa}: Joe's cells are absent (the caller reads them from the
+  // input cube), Lisa's are relocated.
+  Cube scoped = Relocate(ex_.cube, ex_.org_dim, vs, {ex_.lisa});
   EXPECT_TRUE(Get(scoped, {"FTE/Joe", "NY", "Jan", "Salary"}).is_null());
+  EXPECT_TRUE(Get(scoped, {"PTE/Joe", "NY", "Mar", "Salary"}).is_null());
   EXPECT_EQ(Get(scoped, {"Lisa", "NY", "Feb", "Salary"}), CellValue(10.0));
 }
 
@@ -230,15 +227,17 @@ TEST_F(OperatorsTest, SelectThenRelocate) {
 
 // --- Evaluate (Definition 4.6) --------------------------------------------
 
-// E(C, C) is ordinary evaluation of C.
+// E(C, C) is ordinary evaluation of C: CellEvaluator with C's rules over
+// C's cells.
 TEST_F(OperatorsTest, EvalOperatorIdentity) {
   const Schema& s = ex_.cube.schema();
   CellRef ref = {AxisRef::OfMember(s.dimension(ex_.org_dim).root()),
                  AxisRef::OfMember(*s.dimension(ex_.location_dim).FindMember("NY")),
                  AxisRef::OfMember(*s.dimension(ex_.time_dim).FindMember("Qtr1")),
                  AxisRef::OfMember(*s.dimension(ex_.measures_dim).FindMember("Salary"))};
-  EXPECT_EQ(EvalOperator(ex_.cube, nullptr, ex_.cube, ref),
-            EvaluateCell(ex_.cube, ref));
+  EXPECT_EQ(CellEvaluator(ex_.cube, nullptr).Evaluate(ref),
+            RollUpCell(ex_.cube, ref));
+  EXPECT_EQ(RollUpCell(ex_.cube, ref), CellValue(140.0));
 }
 
 TEST_F(OperatorsTest, EvalOperatorOnTwoCubes) {
@@ -256,9 +255,10 @@ TEST_F(OperatorsTest, EvalOperatorOnTwoCubes) {
       AxisRef::OfMember(*schema.dimension(ex_.time_dim).FindMember("Qtr1")),
       AxisRef::OfMember(*schema.dimension(ex_.measures_dim).FindMember("Salary"))};
   // Input: PTE Q1 = Tom 30 + PTE/Joe Feb 10 = 40.
-  EXPECT_EQ(EvalOperator(ex_.cube, nullptr, ex_.cube, pte_q1), CellValue(40.0));
+  EXPECT_EQ(CellEvaluator(ex_.cube, nullptr).Evaluate(pte_q1), CellValue(40.0));
   // Visual (over relocated): PTE/Joe now also holds Mar = 30 -> 70.
-  EXPECT_EQ(EvalOperator(ex_.cube, nullptr, relocated, pte_q1), CellValue(70.0));
+  EXPECT_EQ(CellEvaluator(relocated, nullptr).Evaluate(pte_q1),
+            CellValue(70.0));
 }
 
 }  // namespace

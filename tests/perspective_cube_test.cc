@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "rules/evaluator.h"
 #include "workload/paper_example.h"
 #include "workload/product.h"
 #include "workload/workforce.h"
 
 namespace olap {
 namespace {
+
+// The one evaluator over a perspective cube's routing, with no batch.
+CellValue Eval(const PerspectiveCube& pc, const CellRef& ref) {
+  return CellEvaluator(pc, nullptr).Evaluate(ref);
+}
 
 class PerspectiveCubeTest : public ::testing::Test {
  protected:
@@ -57,11 +63,11 @@ TEST_F(PerspectiveCubeTest, StaticDropsNonSurvivingInstances) {
       ComputePerspectiveCube(ex_.cube, Spec({0}, Semantics::kStatic));
   ASSERT_TRUE(pc.ok()) << pc.status().ToString();
   // FTE/Joe survives with its Jan value.
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfInstance(ex_.joe, ex_.fte_joe), "NY",
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfInstance(ex_.joe, ex_.fte_joe), "NY",
                              "Jan", "Salary")),
             CellValue(10.0));
   // PTE/Joe is dropped: all its cells ⊥.
-  EXPECT_TRUE(pc->Evaluate(Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
+  EXPECT_TRUE(Eval(*pc, Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
                                "Feb", "Salary"))
                   .is_null());
   const Dimension& org_out = pc->output().schema().dimension(ex_.org_dim);
@@ -76,9 +82,9 @@ TEST_F(PerspectiveCubeTest, NonVisualKeepsInputAggregates) {
   ASSERT_TRUE(pc.ok());
   CellRef pte_q1 = Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr1", "Salary");
   // Input: Tom 30 + PTE/Joe Feb 10 = 40.
-  EXPECT_EQ(pc->Evaluate(pte_q1), CellValue(40.0));
+  EXPECT_EQ(Eval(*pc, pte_q1), CellValue(40.0));
   // Leaf cells still come from the transformed cube.
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
                              "Mar", "Salary")),
             CellValue(30.0));
 }
@@ -89,7 +95,7 @@ TEST_F(PerspectiveCubeTest, VisualRecomputesAggregates) {
   ASSERT_TRUE(pc.ok());
   CellRef pte_q1 = Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr1", "Salary");
   // Visual: Tom 30 + PTE/Joe (Feb 10 + Mar 30) = 70.
-  EXPECT_EQ(pc->Evaluate(pte_q1), CellValue(70.0));
+  EXPECT_EQ(Eval(*pc, pte_q1), CellValue(70.0));
 }
 
 // The headline equivalence behind Fig. 11: the Multiple-MDX simulation
@@ -265,18 +271,18 @@ TEST_F(PerspectiveCubeTest, PositiveChangesOnly) {
   const Dimension& org = pc->output().schema().dimension(ex_.org_dim);
   InstanceId pte_lisa = org.FindInstance(ex_.lisa, ex_.pte);
   ASSERT_NE(pte_lisa, kInvalidInstance);
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfInstance(ex_.lisa, pte_lisa), "NY",
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfInstance(ex_.lisa, pte_lisa), "NY",
                              "Apr", "Salary")),
             CellValue(10.0));
   // Non-visual (the Split default): aggregates come from the input.
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr2", "Salary")),
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr2", "Salary")),
             CellValue(30.0));  // Input: only Tom.
   // Visual would see Lisa's Q2 salary under PTE.
   spec.mode = EvalMode::kVisual;
   Result<PerspectiveCube> visual = ComputePerspectiveCube(ex_.cube, spec);
   ASSERT_TRUE(visual.ok());
   EXPECT_EQ(
-      visual->Evaluate(Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr2", "Salary")),
+      Eval(*visual, Ref(AxisRef::OfMember(ex_.pte), "NY", "Qtr2", "Salary")),
       CellValue(60.0));  // Tom 30 + PTE/Lisa 30.
 }
 
@@ -301,11 +307,11 @@ TEST_F(PerspectiveCubeTest, ScopedComputationFallsBackForOutOfScope) {
   Result<PerspectiveCube> pc = ComputePerspectiveCube(ex_.cube, spec);
   ASSERT_TRUE(pc.ok());
   // Joe is transformed.
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfInstance(ex_.joe, ex_.pte_joe), "NY",
                              "Mar", "Salary")),
             CellValue(30.0));
   // Lisa is out of scope: her leaf reads fall back to the input cube.
-  EXPECT_EQ(pc->Evaluate(Ref(AxisRef::OfMember(ex_.lisa), "NY", "Jan", "Salary")),
+  EXPECT_EQ(Eval(*pc, Ref(AxisRef::OfMember(ex_.lisa), "NY", "Jan", "Salary")),
             CellValue(10.0));
   // The scoped output itself holds no Lisa data (that is the point).
   InstanceId lisa =

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/naive_aggregator.h"
 #include "workload/paper_example.h"
 
 namespace olap {

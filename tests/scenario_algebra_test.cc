@@ -26,7 +26,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
+#include "rules/evaluator.h"
 #include "support/operator_oracles.h"
 #include "whatif/operators.h"
 #include "whatif/perspective.h"
@@ -36,6 +38,11 @@
 
 namespace olap {
 namespace {
+
+// The one evaluator over a perspective cube's routing, with no batch.
+CellValue Eval(const PerspectiveCube& pc, const CellRef& ref) {
+  return CellEvaluator(pc, nullptr).Evaluate(ref);
+}
 
 constexpr int kThreadCounts[] = {1, 2, 4, 8};
 
@@ -465,36 +472,60 @@ TEST_F(ScenarioAlgebraTest, ContainmentDetectsAProperSubsetScenario) {
 }
 
 TEST_F(ScenarioAlgebraTest, ComparisonSharesCoverViewsAcrossScenarios) {
-  // Both sides non-visual => one shared batched evaluator prepared over
-  // the common ref set serves the derived cells of both scenarios.
-  ScenarioSpec a;
-  a.varying_dim = ex_.org_dim;
-  a.ops.push_back(ScenarioOp::SplitOp(
-      {ChangeTuple{ex_.joe, ex_.contractor, ex_.fte, 3}}));
-  ScenarioSpec b;
-  b.varying_dim = ex_.org_dim;
-  b.ops.push_back(
-      ScenarioOp::Perspective(Perspectives({1}), Semantics::kForward));
+  // Every VISUAL / non-visual pairing of the two sides batches its derived
+  // cells: one batched evaluator per cube the sides read, shared (and its
+  // views counted as shared) only when both sides read the stored cube.
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  for (EvalMode mode_a : {EvalMode::kNonVisual, EvalMode::kVisual}) {
+    for (EvalMode mode_b : {EvalMode::kNonVisual, EvalMode::kVisual}) {
+      const std::string context = std::string("A ") + EvalModeName(mode_a) +
+                                  ", B " + EvalModeName(mode_b);
+      ScenarioSpec a;
+      a.varying_dim = ex_.org_dim;
+      a.mode = mode_a;
+      a.ops.push_back(ScenarioOp::SplitOp(
+          {ChangeTuple{ex_.joe, ex_.contractor, ex_.fte, 3}}));
+      ScenarioSpec b;
+      b.varying_dim = ex_.org_dim;
+      b.mode = mode_b;
+      b.ops.push_back(
+          ScenarioOp::Perspective(Perspectives({1}), Semantics::kForward));
 
-  ScenarioCompareOptions with, without;
-  without.batched_eval = false;
-  std::vector<CellRef> refs = GridRefs();
-  Result<ScenarioComparison> batched =
-      CompareScenarios(ex_.cube, {a}, {b}, refs, nullptr, with);
-  Result<ScenarioComparison> per_cell =
-      CompareScenarios(ex_.cube, {a}, {b}, refs, nullptr, without);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_TRUE(per_cell.ok()) << per_cell.status().ToString();
-  // Identical values either way (paper-example data is exactly summable).
-  ASSERT_EQ(batched->values_a.size(), per_cell->values_a.size());
-  for (size_t i = 0; i < batched->values_a.size(); ++i) {
-    EXPECT_EQ(BitsOf(batched->values_a[i]), BitsOf(per_cell->values_a[i]))
-        << "ref " << i;
-    EXPECT_EQ(BitsOf(batched->values_b[i]), BitsOf(per_cell->values_b[i]))
-        << "ref " << i;
+      ScenarioCompareOptions with, without;
+      without.batched_eval = false;
+      std::vector<CellRef> refs = GridRefs();
+      MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+      Result<ScenarioComparison> batched =
+          CompareScenarios(ex_.cube, {a}, {b}, refs, nullptr, with);
+      MetricsRegistry::Snapshot delta =
+          MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+      Result<ScenarioComparison> per_cell =
+          CompareScenarios(ex_.cube, {a}, {b}, refs, nullptr, without);
+      ASSERT_TRUE(batched.ok()) << context << ": "
+                                << batched.status().ToString();
+      ASSERT_TRUE(per_cell.ok()) << context << ": "
+                                 << per_cell.status().ToString();
+      // Identical values either way (paper-example data is exactly
+      // summable).
+      ASSERT_EQ(batched->values_a.size(), per_cell->values_a.size());
+      for (size_t i = 0; i < batched->values_a.size(); ++i) {
+        EXPECT_EQ(BitsOf(batched->values_a[i]), BitsOf(per_cell->values_a[i]))
+            << context << " ref " << i;
+        EXPECT_EQ(BitsOf(batched->values_b[i]), BitsOf(per_cell->values_b[i]))
+            << context << " ref " << i;
+      }
+      EXPECT_EQ(batched->l1, per_cell->l1) << context;
+      EXPECT_EQ(batched->overlap, per_cell->overlap) << context;
+      EXPECT_GE(delta.counter_value("agg.batch.plans"), 1) << context;
+      const int64_t shared =
+          delta.counter_value("scenario.compare.shared_views");
+      if (mode_a == EvalMode::kNonVisual && mode_b == EvalMode::kNonVisual) {
+        EXPECT_GT(shared, 0) << context;
+      } else {
+        EXPECT_EQ(shared, 0) << context;
+      }
+    }
   }
-  EXPECT_EQ(batched->l1, per_cell->l1);
-  EXPECT_EQ(batched->overlap, per_cell->overlap);
 }
 
 // ---------------------------------------------------------------------------
@@ -678,7 +709,7 @@ TEST(ScenarioAlgebraFuzzTest, ComposedStacksMatchSerialOracleAtEveryThreadCount)
           CellRef ref = base;
           ref[world.org_dim] = AxisRef::OfMember(m);
           ref[world.time_dim] = AxisRef::OfMember(t);
-          EXPECT_EQ(BitsOf(oracle_pc.Evaluate(ref)), BitsOf(pc->Evaluate(ref)))
+          EXPECT_EQ(BitsOf(Eval(oracle_pc, ref)), BitsOf(Eval(*pc, ref)))
               << "member " << m << " time " << t << " threads " << threads;
         }
       }

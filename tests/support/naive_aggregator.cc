@@ -1,5 +1,7 @@
 #include "support/naive_aggregator.h"
 
+#include "rules/evaluator.h"
+
 #include "agg/chunk_aggregator.h"
 
 namespace olap {
@@ -19,6 +21,10 @@ std::vector<GroupByResult> NaiveAggregator::Compute(
     }
   });
   return out;
+}
+
+CellValue EvaluateCell(const Cube& cube, const CellRef& ref) {
+  return CellEvaluator(cube, nullptr).Evaluate(ref);
 }
 
 }  // namespace olap

@@ -18,6 +18,11 @@ class NaiveAggregator {
                                             const std::vector<GroupByMask>& masks);
 };
 
+// The per-cell oracle for one cell: its stored value when `ref` is a leaf,
+// else the weighted roll-up of its leaves — CellEvaluator with no rules and
+// no batch.
+CellValue EvaluateCell(const Cube& cube, const CellRef& ref);
+
 }  // namespace olap
 
 #endif  // OLAP_TESTS_SUPPORT_NAIVE_AGGREGATOR_H_

@@ -56,7 +56,7 @@ Cube RelocateReference(const Cube& in, const Schema& schema_out,
                        int varying_dim,
                        const std::vector<DynamicBitset>& vs_out,
                        const std::vector<MemberId>& scope_members,
-                       bool copy_out_of_scope, int64_t* cells_moved) {
+                       int64_t* cells_moved) {
   const Schema& schema_in = in.schema();
   const Dimension& d_in = schema_in.dimension(varying_dim);
   assert(d_in.is_varying());
@@ -75,13 +75,7 @@ Cube RelocateReference(const Cube& in, const Schema& schema_out,
   auto relocate_cell = [&](const std::vector<int>& coords, CellValue v) {
     const MemberInstance& inst = d_in.instance(coords[varying_dim]);
     auto it = dst_of.find(inst.member);
-    if (it == dst_of.end()) {  // Out of scope.
-      if (copy_out_of_scope) {
-        out.SetCell(coords, v);
-        ++moved;
-      }
-      return;
-    }
+    if (it == dst_of.end()) return;  // Out of scope: dropped.
     const int t = coords[param_dim];
     if (!inst.validity.Test(t)) return;
     const int dst = it->second[t];
@@ -92,8 +86,8 @@ Cube RelocateReference(const Cube& in, const Schema& schema_out,
     ++moved;
   };
 
-  if (!scope_all && !copy_out_of_scope) {
-    // Scoped relocation that drops out-of-scope data only needs to visit
+  if (!scope_all) {
+    // Scoped relocation drops out-of-scope data, so it only needs to visit
     // the chunks holding scoped instances (the Sec. 6.3 confinement).
     std::vector<bool> wanted(d_in.num_positions(), false);
     for (const MemberInstance& inst : d_in.instances()) {
@@ -217,6 +211,65 @@ Result<Cube> IntroduceMembersReference(const Cube& in,
     if (cells_seeded != nullptr) *cells_seeded += seeded;
   }
   return out;
+}
+
+// --- Selection (Definition 4.1) --------------------------------------------
+
+void ClearSlice(Cube* cube, int dim, int pos) {
+  std::vector<std::vector<int>> slice;
+  cube->ForEachChunkCell([&](const std::vector<int>& coords, CellValue) {
+    if (coords[dim] == pos) slice.push_back(coords);
+  });
+  for (const std::vector<int>& coords : slice) {
+    cube->SetCell(coords, CellValue::Null());
+  }
+}
+
+Cube Select(const Cube& in, int dim, const std::function<bool(int)>& keep) {
+  Cube out = in;
+  const int n_positions = in.schema().dimension(dim).num_positions();
+  for (int pos = 0; pos < n_positions; ++pos) {
+    if (!keep(pos)) ClearSlice(&out, dim, pos);
+  }
+  return out;
+}
+
+std::vector<bool> KeepMemberEquals(const Cube& in, int dim, MemberId m) {
+  const Dimension& d = in.schema().dimension(dim);
+  std::vector<bool> keep(d.num_positions(), false);
+  for (int pos = 0; pos < d.num_positions(); ++pos) {
+    keep[pos] = d.PositionMember(pos) == m;
+  }
+  return keep;
+}
+
+std::vector<bool> KeepDescendantOf(const Cube& in, int dim, MemberId ancestor) {
+  const Dimension& d = in.schema().dimension(dim);
+  std::vector<bool> keep(d.num_positions(), false);
+  for (int pos : in.PositionsUnder(dim, AxisRef::OfMember(ancestor))) {
+    keep[pos] = true;
+  }
+  return keep;
+}
+
+std::vector<bool> KeepValidityOverlaps(const Cube& in, int dim,
+                                       const DynamicBitset& moments) {
+  const Dimension& d = in.schema().dimension(dim);
+  std::vector<bool> keep(d.num_positions(), true);
+  if (!d.is_varying()) return keep;  // Non-varying: implicitly always valid.
+  for (const MemberInstance& inst : d.instances()) {
+    keep[inst.id] = !inst.validity.DisjointWith(moments);
+  }
+  return keep;
+}
+
+std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
+                                    const std::function<bool(double)>& pred) {
+  std::vector<bool> keep(in.schema().dimension(dim).num_positions(), false);
+  in.ForEachChunkCell([&](const std::vector<int>& coords, CellValue v) {
+    if (!keep[coords[dim]] && pred(v.value())) keep[coords[dim]] = true;
+  });
+  return keep;
 }
 
 }  // namespace olap

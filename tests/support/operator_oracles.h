@@ -2,6 +2,7 @@
 #define OLAP_TESTS_SUPPORT_OPERATOR_ORACLES_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/bitset.h"
@@ -25,7 +26,6 @@ Cube RelocateReference(const Cube& in, const Schema& schema_out,
                        int varying_dim,
                        const std::vector<DynamicBitset>& vs_out,
                        const std::vector<MemberId>& scope_members = {},
-                       bool copy_out_of_scope = true,
                        int64_t* cells_moved = nullptr);
 
 // Split (Definition 4.5): every member named by a tuple of `r` sends each
@@ -43,6 +43,34 @@ Result<Cube> IntroduceMembersReference(const Cube& in,
                                        int varying_dim,
                                        const std::vector<NewMemberSpec>& specs,
                                        int64_t* cells_seeded = nullptr);
+
+// Selection (Definition 4.1), the algebra's σ as a whole-cube copy. The
+// engine selects through grid coordinates and never materializes σ; this
+// is its reference, composed with the operators above in the algebra's
+// tests.
+
+// Sets every cell at position `pos` of dimension `dim` to ⊥.
+void ClearSlice(Cube* cube, int dim, int pos);
+
+// σ_p: keeps only the axis positions of `dim` for which `keep(pos)` is true;
+// the sub-cubes of every other position are removed (cells set to ⊥).
+// The output schema is unchanged — non-kept positions are simply inactive.
+Cube Select(const Cube& in, int dim, const std::function<bool(int)>& keep);
+
+// Predicate helpers producing keep-sets (Sec. 4.1's example predicates).
+
+// Positions whose member equals `m` / is a descendant of `m`.
+std::vector<bool> KeepMemberEquals(const Cube& in, int dim, MemberId m);
+std::vector<bool> KeepDescendantOf(const Cube& in, int dim, MemberId ancestor);
+// D.VS ∩ moments ≠ ∅ — varying dimensions only; non-varying positions are
+// all kept (their validity is implicitly the full universe).
+std::vector<bool> KeepValidityOverlaps(const Cube& in, int dim,
+                                       const DynamicBitset& moments);
+// Value predicate σ_{D θ c}: keep positions of `dim` that have at least one
+// cell in the cube slice satisfying pred(value), e.g. sales > 1000 with the
+// other coordinates restricted beforehand via Select.
+std::vector<bool> KeepWhereAnyValue(const Cube& in, int dim,
+                                    const std::function<bool(double)>& pred);
 
 }  // namespace olap
 
